@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import naive_tangle
 from .fast_tangle import tangle_1_fast

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 input error,
-3 internal error.  Numeric fields print with 17 significant digits so
-output is reproducible bit for bit for a given seed.
+3 internal error.  Numeric fields print with 17 significant digits.  With
+one numpy build, tangles and T/P/Q values are identical whatever the BLAS
+thread count; their last digits differ from release 0.1.0.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .slocc_ops import (
     verify_slocc_equation,
 )
 from .stategen import basis_product, ghz, random_pure, w
-from .three_tangle import ckw_tangle
+from .three_tangle import ckw_tangle, ckw_terms
 from .verify import verify_all
 
 EXIT_OK = 0
@@ -126,14 +127,7 @@ def _cmd_tangle3(args) -> int:
     state = load_state(args.state)
     if state.n != 3:
         raise StateFileError(f"tangle3 needs a 3-qubit state, got n={state.n}")
-    a = state.amps
-    d1 = a[0] ** 2 * a[7] ** 2 + a[1] ** 2 * a[6] ** 2 + a[2] ** 2 * a[5] ** 2 + a[3] ** 2 * a[4] ** 2
-    d2 = (
-        a[0] * a[7] * (a[3] * a[4] + a[2] * a[5] + a[1] * a[6])
-        + a[3] * a[4] * (a[2] * a[5] + a[1] * a[6])
-        + a[2] * a[5] * a[1] * a[6]
-    )
-    d3 = a[0] * a[6] * a[5] * a[3] + a[7] * a[1] * a[2] * a[4]
+    d1, d2, d3 = ckw_terms(state)
     lines = [
         f"d1 {_g(d1.real)} {_g(d1.imag)}",
         f"d2 {_g(d2.real)} {_g(d2.imag)}",

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fast_tangle import n_tangle
+from .fast_tangle import _swap_bits, _terms, n_tangle
 from .qstate import PureState
 
 RANK_EIG_CUTOFF = 1e-10
@@ -125,31 +125,15 @@ def _roof_tables(n: int):
     matmul with C yields (T_i, P_i, Q_i) for every qubit i at once; the
     epsilon signs and the factor 2 of P and Q are folded into C.
     """
-    from .fast_tangle import _tpq_triples
-    from .qstate import QubitPermutation
-
-    dim = 1 << n
-    t_idx, p_idx, q_idx = _tpq_triples(n)
-    left, right, combine_col, combine_val = [], [], [], []
-    for i in range(1, n + 1):
-        perm = QubitPermutation.transposition(n, 1, i)
-        dest = np.zeros(dim, dtype=np.int64)
-        idx = np.arange(dim, dtype=np.int64)
-        for k in range(1, n + 1):
-            dest |= ((idx >> (n - k)) & 1) << (n - perm(k))
-        src = np.empty(dim, dtype=np.int64)
-        src[dest] = idx
-        for block, triples, factor in ((0, t_idx, 1.0), (1, p_idx, 2.0), (2, q_idx, 2.0)):
-            col = 3 * (i - 1) + block
-            for s, l, r in triples:
-                left.append(src[l])
-                right.append(src[r])
-                combine_col.append(col)
-                combine_val.append(factor * s)
-    rows = len(left)
-    C = np.zeros((rows, 3 * n))
-    C[np.arange(rows), combine_col] = combine_val
-    return np.array(left), np.array(right), C
+    left, right, weight = _terms(n)
+    half = 1 << (n - 1)
+    block = np.repeat([0, 1, 2], [half, half >> 1, half >> 1])
+    L = np.concatenate([_swap_bits(left, n, i) for i in range(1, n + 1)])
+    R = np.concatenate([_swap_bits(right, n, i) for i in range(1, n + 1)])
+    cols = np.concatenate([3 * i + block for i in range(n)])
+    C = np.zeros((L.size, 3 * n))
+    C[np.arange(L.size), cols] = np.tile(weight, n)
+    return L, R, C
 
 
 def _objective(rho: MixedState, W: np.ndarray, measure=None) -> float:

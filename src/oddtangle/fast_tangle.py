@@ -1,21 +1,23 @@
 """Reduced O(2**n) tangle evaluation via the T, P, Q sums.
 
-T pairs amplitude i with its full bitwise complement, P pairs even indices
-inside the lower half block, Q does the same in the upper half; the tangle
-with respect to qubit 1 is 4|T^2 - PQ|, and tangles with respect to other
-qubits follow by transposing that qubit with qubit 1.
-
-Summation is plain left-to-right in index order so reports are bit-exact
-across runs; the optional counter tallies complex amplitude multiplications
-without touching the arithmetic.
+For qubit 1, T pairs amplitude x with its bitwise complement, and P (Q)
+pairs even indices inside the lower (upper) half block; each product
+carries the epsilon sign (-1)**popcount, and P, Q a factor 2.  Then
+tau_1 = 4|T^2 - PQ|.  For qubit i the same 2**n products are taken with
+the bits of qubits 1 and i exchanged in the index arrays.  The sums are a
+gather and ``np.add.reduceat`` with no BLAS call, so a numpy build gives
+the same bits whatever the BLAS thread count.  The optional counter
+tallies amplitude products without touching the arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .qstate import PureState, QubitPermutation, permute_qubits
+import numpy as np
+
+from .qstate import PureState
 
 
 @dataclass(frozen=True)
@@ -35,22 +37,51 @@ class TangleReport:
 
 
 @lru_cache(maxsize=None)
-def _parity_signs(count: int):
-    """(-1)**popcount(i) for i in [0, count)."""
-    return tuple(-1 if i.bit_count() & 1 else 1 for i in range(count))
-
-
-@lru_cache(maxsize=None)
-def _tpq_triples(n: int):
-    """Precomputed (sign, left index, right index) for the T, P, Q sums."""
+def _terms(n: int):
+    """Qubit-1 terms (left, right, weight) in T, P, Q order: term k adds
+    weight[k] * a[left[k]] * a[right[k]], the weight holding the epsilon
+    sign and the factor 2 of P and Q."""
     dim = 1 << n
     half = dim >> 1
     quarter = dim >> 2
-    signs = _parity_signs(half)
-    t = tuple((signs[i], i, dim - i - 1) for i in range(half))
-    p = tuple((signs[i], 2 * i, half - 2 * i - 1) for i in range(quarter))
-    q = tuple((signs[i], half + 2 * i, dim - 2 * i - 1) for i in range(quarter))
-    return t, p, q
+    signs = np.ones(1)
+    for _ in range(n - 1):
+        signs = np.concatenate([signs, -signs])
+    k = np.arange(half, dtype=np.int64)
+    even = 2 * k[:quarter]
+    left = np.concatenate([k, even, half + even])
+    right = np.concatenate([dim - 1 - k, half - 1 - even, dim - 1 - even])
+    weight = np.concatenate([signs, 2.0 * signs[:quarter], 2.0 * signs[:quarter]])
+    for a in (left, right, weight):
+        a.setflags(write=False)
+    return left, right, weight
+
+
+def _swap_bits(idx: np.ndarray, n: int, i: int) -> np.ndarray:
+    """Indices with the bits of qubit 1 and qubit i exchanged."""
+    hi, lo = n - 1, n - i
+    diff = ((idx >> hi) ^ (idx >> lo)) & 1
+    return idx ^ ((diff << hi) | (diff << lo))
+
+
+def _tpq(amps: np.ndarray, n: int, i: int, counter) -> TPQ:
+    """T, P, Q for the tangle with respect to qubit i."""
+    left, right, weight = _terms(n)
+    if i != 1:
+        left, right = _swap_bits(left, n, i), _swap_bits(right, n, i)
+    half = 1 << (n - 1)
+    T, P, Q = np.add.reduceat(
+        amps[left] * amps[right] * weight, [0, half, half + (half >> 1)]
+    )
+    if counter is not None:
+        # one amplitude product per term; the sign and factor-2 scalings
+        # are not tallied
+        counter.add(left.size)
+    return TPQ(complex(T), complex(P), complex(Q))
+
+
+def _tau(tpq: TPQ) -> float:
+    return 4.0 * abs(tpq.T * tpq.T - tpq.P * tpq.Q)
 
 
 def _require_odd(n: int) -> None:
@@ -60,20 +91,9 @@ def _require_odd(n: int) -> None:
 
 def compute_TPQ(state: PureState, counter=None) -> TPQ:
     """The three reduced sums for the tangle with respect to qubit 1."""
-    n = state.n
-    if n < 2:
-        raise ValueError(f"T/P/Q need n >= 2, got n={n}")
-    a = state.amps.tolist()
-    t_idx, p_idx, q_idx = _tpq_triples(n)
-    # sum() over a generator accumulates strictly left to right
-    T = sum(s * (a[i] * a[j]) for s, i, j in t_idx)
-    P = 2.0 * sum(s * (a[i] * a[j]) for s, i, j in p_idx)
-    Q = 2.0 * sum(s * (a[i] * a[j]) for s, i, j in q_idx)
-    if counter is not None:
-        # one amplitude product per summand; the sign and factor-2 scalings
-        # are not tallied
-        counter.add(len(t_idx) + len(p_idx) + len(q_idx))
-    return TPQ(complex(T), complex(P), complex(Q))
+    if state.n < 2:
+        raise ValueError(f"T/P/Q need n >= 2, got n={state.n}")
+    return _tpq(state.amps, state.n, 1, counter)
 
 
 def tangle_1_fast(state: PureState, counter=None) -> float:
@@ -83,39 +103,27 @@ def tangle_1_fast(state: PureState, counter=None) -> float:
     sums (2**n of them); the constant-size combining work T*T, P*Q and the
     final scaling is excluded, so counts reflect the asymptotic term count.
     """
-    _require_odd(state.n)
-    tpq = compute_TPQ(state, counter)
-    return 4.0 * abs(tpq.T * tpq.T - tpq.P * tpq.Q)
+    return tangle_i_fast(state, 1, counter)
 
 
 def tangle_i_fast(state: PureState, i: int, counter=None) -> float:
-    """Tangle with respect to qubit i: transpose (1, i), then qubit-1 formula."""
+    """Tangle with respect to qubit i (1-based)."""
     _require_odd(state.n)
     if not 1 <= i <= state.n:
         raise ValueError(f"qubit {i} out of range 1..{state.n}")
-    if i != 1:
-        state = permute_qubits(state, QubitPermutation.transposition(state.n, 1, i))
-    return tangle_1_fast(state, counter)
+    return _tau(_tpq(state.amps, state.n, i, counter))
 
 
 def n_tangle(state: PureState, counter=None) -> TangleReport:
     """All per-qubit tangles and their arithmetic mean."""
     _require_odd(state.n)
     n = state.n
-    per_qubit = []
-    tpqs = []
-    for i in range(1, n + 1):
-        s = state
-        if i != 1:
-            s = permute_qubits(state, QubitPermutation.transposition(n, 1, i))
-        tpq = compute_TPQ(s, counter)
-        tpqs.append(tpq)
-        per_qubit.append(4.0 * abs(tpq.T * tpq.T - tpq.P * tpq.Q))
-    average = sum(per_qubit) / n
+    tpqs = tuple(_tpq(state.amps, n, i, counter) for i in range(1, n + 1))
+    per_qubit = tuple(_tau(t) for t in tpqs)
     return TangleReport(
         n=n,
-        per_qubit=tuple(per_qubit),
-        average=average,
-        tpq_per_qubit=tuple(tpqs),
+        per_qubit=per_qubit,
+        average=sum(per_qubit) / n,
+        tpq_per_qubit=tpqs,
         mult_count=(counter.complex_mults if counter is not None else None),
     )

@@ -8,8 +8,8 @@ Density file:
     {"format_version": 1, "kind": "density", "n": 2,
      "matrix": [[[re, im], ...], ...]}     # 2**n rows of 2**n [re, im]
 
-Floats are written with 17 significant digits, so amplitudes round-trip
-exactly through the text form.
+Floats are written as their shortest round-tripping repr, so amplitudes
+round-trip exactly through the text form.
 """
 
 from __future__ import annotations
@@ -28,16 +28,12 @@ class StateFileError(ValueError):
     """Malformed or inconsistent state/density file."""
 
 
-def _fmt(x: float) -> float:
-    return float(f"{float(x):.17g}")
-
-
 def state_to_dict(state: PureState) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "state",
         "n": state.n,
-        "amplitudes": [[_fmt(a.real), _fmt(a.imag)] for a in state.amps],
+        "amplitudes": [[a.real, a.imag] for a in state.amps],
     }
 
 
@@ -47,7 +43,7 @@ def density_to_dict(rho: MixedState) -> dict:
         "kind": "density",
         "n": rho.n,
         "matrix": [
-            [[_fmt(v.real), _fmt(v.imag)] for v in row] for row in rho.matrix
+            [[v.real, v.imag] for v in row] for row in rho.matrix
         ],
     }
 
@@ -70,7 +66,8 @@ def _parse_pair(entry, where: str) -> complex:
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 2
-        or not all(isinstance(v, (int, float)) for v in entry)
+        # bool is a subclass of int, so test the exact type
+        or not all(type(v) in (int, float) for v in entry)
     ):
         raise StateFileError(f"{where}: expected a [re, im] pair, got {entry!r}")
     return complex(entry[0], entry[1])

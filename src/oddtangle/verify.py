@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fast_tangle import n_tangle, tangle_1_fast, tangle_i_fast
+from .fast_tangle import compute_TPQ, n_tangle, tangle_1_fast, tangle_i_fast
 from .naive_tangle import find_noninvariance_witness, tangle_i_naive
 from .qstate import QubitPermutation, permute_qubits
 from .residual_forms import (
@@ -27,7 +27,6 @@ from .slocc_ops import (
 )
 from .stategen import ghz, random_pure, w
 from .three_tangle import ckw_tangle
-from .fast_tangle import compute_TPQ
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,15 @@ def test_tangle_i_ghz7_every_qubit():
         assert tangle_i_fast(ghz(7), i) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "n,i", [(n, i) for n in (9, 11, 13) for i in range(1, n + 1)]
+)
+def test_tpq_per_qubit_matches_transposed_qubit_1(n, i):
+    s = random_pure(n, seed=n)
+    moved = permute_qubits(s, QubitPermutation.transposition(n, 1, i))
+    assert n_tangle(s).tpq_per_qubit[i - 1] == compute_TPQ(moved)
+
+
 def test_oracle_equivalence_small():
     for n in (3, 5):
         for seed in range(5):

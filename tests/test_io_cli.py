@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oddtangle
 from oddtangle.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from oddtangle.convex_roof import MixedState
 from oddtangle.io import (
@@ -64,6 +68,20 @@ def test_malformed_density(tmp_path):
     path.write_text('{"format_version": 1, "kind": "density", "n": 1, "matrix": [[[1,0]]]}')
     with pytest.raises(StateFileError):
         load_density(str(path))
+
+
+@pytest.mark.parametrize("pair", ["[true, 0]", "[0, false]"])
+def test_boolean_amplitudes_rejected(tmp_path, capsys, pair):
+    amps = [pair] + ["[0, 0]"] * 6 + ["[1, 0]"]
+    path = tmp_path / "bool.json"
+    path.write_text(
+        '{"format_version": 1, "kind": "state", "n": 3, "amplitudes": [%s]}'
+        % ", ".join(amps)
+    )
+    with pytest.raises(StateFileError):
+        load_state(str(path))
+    assert main(["compute", "--state", str(path)]) == EXIT_INPUT_ERROR
+    assert "expected a [re, im] pair" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- CLI
@@ -246,3 +264,21 @@ def test_cli_output_deterministic(tmp_path):
     main(["compute", "--state", state_path, "--out", str(a)])
     main(["compute", "--state", state_path, "--out", str(b)])
     assert a.read_text() == b.read_text()
+
+
+def test_cli_compute_n15_identical_bytes_across_runs_and_blas_threads(tmp_path):
+    state_path = str(tmp_path / "r15.json")
+    save_state(random_pure(15, seed=15), state_path)
+    src = os.path.dirname(os.path.dirname(oddtangle.__file__))
+
+    def run(**extra_env):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.update(extra_env)
+        cmd = [sys.executable, "-m", "oddtangle.cli", "compute", "--state", state_path]
+        return subprocess.run(cmd, env=env, capture_output=True, check=True).stdout
+
+    first = run()
+    assert first.splitlines()[0] == b"n 15" and len(first.splitlines()) == 17
+    assert run() == first
+    assert run(OPENBLAS_NUM_THREADS="1") == first
