@@ -3,7 +3,8 @@
 Exit codes: 0 success / all checks pass, 1 check failure, 2 input error,
 3 internal error.  Numeric fields print with 17 significant digits.  With
 one numpy build, tangles and T/P/Q values are identical whatever the BLAS
-thread count; their last digits differ from release 0.1.0.
+thread count.  Their last digits, and those of the d2 line of tangle3,
+differ from release 0.1.0.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fast_tangle import _swap_bits, _terms, n_tangle
+from .fast_tangle import _terms, n_tangle
 from .qstate import PureState
 
 RANK_EIG_CUTOFF = 1e-10
@@ -115,6 +115,13 @@ def decomposition_from_isometry(rho: MixedState, V: np.ndarray) -> Decomposition
 
 def _tangle_average(state: PureState) -> float:
     return n_tangle(state).average
+
+
+def _swap_bits(idx: np.ndarray, n: int, i: int) -> np.ndarray:
+    """Indices with the bits of qubit 1 and qubit i exchanged."""
+    hi, lo = n - 1, n - i
+    diff = ((idx >> hi) ^ (idx >> lo)) & 1
+    return idx ^ ((diff << hi) | (diff << lo))
 
 
 @lru_cache(maxsize=None)

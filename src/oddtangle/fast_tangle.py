@@ -3,11 +3,11 @@
 For qubit 1, T pairs amplitude x with its bitwise complement, and P (Q)
 pairs even indices inside the lower (upper) half block; each product
 carries the epsilon sign (-1)**popcount, and P, Q a factor 2.  Then
-tau_1 = 4|T^2 - PQ|.  For qubit i the same 2**n products are taken with
-the bits of qubits 1 and i exchanged in the index arrays.  The sums are a
-gather and ``np.add.reduceat`` with no BLAS call, so a numpy build gives
-the same bits whatever the BLAS thread count.  The optional counter
-tallies amplitude products without touching the arithmetic.
+tau_1 = 4|T^2 - PQ|.  The 2**n products are one gather over cached index
+arrays, and the three sums one ``np.add.reduceat`` with no BLAS call, so a
+numpy build gives the same bits whatever the BLAS thread count.  Qubit i
+is qubit 1 of the state with qubits 1 and i exchanged.  The optional
+counter tallies amplitude products without touching the arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import PureState
+from .qstate import PureState, QubitPermutation, permute_qubits
 
 
 @dataclass(frozen=True)
@@ -57,29 +57,6 @@ def _terms(n: int):
     return left, right, weight
 
 
-def _swap_bits(idx: np.ndarray, n: int, i: int) -> np.ndarray:
-    """Indices with the bits of qubit 1 and qubit i exchanged."""
-    hi, lo = n - 1, n - i
-    diff = ((idx >> hi) ^ (idx >> lo)) & 1
-    return idx ^ ((diff << hi) | (diff << lo))
-
-
-def _tpq(amps: np.ndarray, n: int, i: int, counter) -> TPQ:
-    """T, P, Q for the tangle with respect to qubit i."""
-    left, right, weight = _terms(n)
-    if i != 1:
-        left, right = _swap_bits(left, n, i), _swap_bits(right, n, i)
-    half = 1 << (n - 1)
-    T, P, Q = np.add.reduceat(
-        amps[left] * amps[right] * weight, [0, half, half + (half >> 1)]
-    )
-    if counter is not None:
-        # one amplitude product per term; the sign and factor-2 scalings
-        # are not tallied
-        counter.add(left.size)
-    return TPQ(complex(T), complex(P), complex(Q))
-
-
 def _tau(tpq: TPQ) -> float:
     return 4.0 * abs(tpq.T * tpq.T - tpq.P * tpq.Q)
 
@@ -89,11 +66,28 @@ def _require_odd(n: int) -> None:
         raise ValueError(f"tangle formulas need odd n >= 3, got n={n}")
 
 
+def _transposed(state: PureState, i: int) -> PureState:
+    """The state with qubits 1 and i exchanged: its qubit-1 sums are the
+    sums for qubit i of the input."""
+    if i == 1:
+        return state
+    return permute_qubits(state, QubitPermutation.transposition(state.n, 1, i))
+
+
 def compute_TPQ(state: PureState, counter=None) -> TPQ:
     """The three reduced sums for the tangle with respect to qubit 1."""
-    if state.n < 2:
-        raise ValueError(f"T/P/Q need n >= 2, got n={state.n}")
-    return _tpq(state.amps, state.n, 1, counter)
+    n = state.n
+    if n < 2:
+        raise ValueError(f"T/P/Q need n >= 2, got n={n}")
+    left, right, weight = _terms(n)
+    a = state.amps
+    half = 1 << (n - 1)
+    T, P, Q = np.add.reduceat(a[left] * a[right] * weight, [0, half, half + (half >> 1)])
+    if counter is not None:
+        # one amplitude product per term; the sign and factor-2 scalings
+        # are not tallied
+        counter.add(left.size)
+    return TPQ(complex(T), complex(P), complex(Q))
 
 
 def tangle_1_fast(state: PureState, counter=None) -> float:
@@ -111,14 +105,14 @@ def tangle_i_fast(state: PureState, i: int, counter=None) -> float:
     _require_odd(state.n)
     if not 1 <= i <= state.n:
         raise ValueError(f"qubit {i} out of range 1..{state.n}")
-    return _tau(_tpq(state.amps, state.n, i, counter))
+    return _tau(compute_TPQ(_transposed(state, i), counter))
 
 
 def n_tangle(state: PureState, counter=None) -> TangleReport:
     """All per-qubit tangles and their arithmetic mean."""
     _require_odd(state.n)
     n = state.n
-    tpqs = tuple(_tpq(state.amps, n, i, counter) for i in range(1, n + 1))
+    tpqs = tuple(compute_TPQ(_transposed(state, i), counter) for i in range(1, n + 1))
     per_qubit = tuple(_tau(t) for t in tpqs)
     return TangleReport(
         n=n,

@@ -180,13 +180,11 @@ def permute_qubits(state: PureState, perm: QubitPermutation) -> PureState:
     if perm.n != state.n:
         raise ValueError(f"permutation on {perm.n} qubits, state has {state.n}")
     n = state.n
-    idx = np.arange(state.dim, dtype=np.int64)
-    dest = np.zeros_like(idx)
+    # axis k-1 of the (2,)*n tensor is qubit k; it becomes axis perm(k)-1
+    axes = [0] * n
     for k in range(1, n + 1):
-        dest |= ((idx >> (n - k)) & 1) << (n - perm(k))
-    out = np.empty_like(state.amps)
-    out[dest] = state.amps
-    return PureState(n, out)
+        axes[perm(k) - 1] = k - 1
+    return PureState(n, state.amps.reshape((2,) * n).transpose(axes))
 
 
 def apply_local_operators(state: PureState, chain: LocalOperatorChain) -> PureState:

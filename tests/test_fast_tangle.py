@@ -5,7 +5,7 @@ import pytest
 
 from oddtangle.fast_tangle import compute_TPQ, n_tangle, tangle_1_fast, tangle_i_fast
 from oddtangle.naive_tangle import tangle_i_naive
-from oddtangle.qstate import QubitPermutation, permute_qubits
+from oddtangle.qstate import PureState, QubitPermutation, permute_qubits
 from oddtangle.stategen import basis_product, ghz, random_pure, w
 
 
@@ -54,8 +54,13 @@ def test_tangle_i_ghz7_every_qubit():
 )
 def test_tpq_per_qubit_matches_transposed_qubit_1(n, i):
     s = random_pure(n, seed=n)
+    # exchange the bits of qubit 1 (bit n-1) and qubit i (bit n-i) by hand
+    x = np.arange(2**n)
+    diff = ((x >> (n - 1)) ^ (x >> (n - i))) & 1
+    swapped = s.amps[x ^ ((diff << (n - 1)) | (diff << (n - i)))]
     moved = permute_qubits(s, QubitPermutation.transposition(n, 1, i))
-    assert n_tangle(s).tpq_per_qubit[i - 1] == compute_TPQ(moved)
+    assert np.array_equal(moved.amps, swapped)
+    assert n_tangle(s).tpq_per_qubit[i - 1] == compute_TPQ(PureState(n, swapped))
 
 
 def test_oracle_equivalence_small():

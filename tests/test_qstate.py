@@ -83,6 +83,17 @@ def test_permute_transposition_moves_bit():
     assert abs(np.sum(np.abs(out.amps))) == pytest.approx(1.0)
 
 
+def test_permute_cycle_moves_each_bit_to_its_image():
+    # the bit at qubit k lands on qubit perm(k): 1 -> 3, 2 -> 1, 3 -> 4, 4 -> 2
+    perm = QubitPermutation([3, 1, 4, 2])
+    for bits in [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 1), (0, 0, 1, 0)]:
+        out = permute_qubits(basis_product(4, bits), perm)
+        moved = [0] * 4
+        for k, b in enumerate(bits, start=1):
+            moved[perm(k) - 1] = b
+        assert out.amps[index_of_bits(moved)] == 1.0
+
+
 def test_permute_identity():
     s = random_pure(4, seed=3)
     out = permute_qubits(s, QubitPermutation.identity(4))
