@@ -22,7 +22,7 @@ from .convex_roof import MixedState, convex_roof_tangle
 from .fast_tangle import compute_TPQ, n_tangle, tangle_1_fast
 from .io import StateFileError, load_density, load_state, save_state
 from .naive_tangle import tangle_i_naive, wong_tangle_naive
-from .qstate import QubitPermutation, permute_qubits
+from .qstate import QubitPermutation
 from .residual_forms import residual_parts_defining, residual_parts_reduced, residual_tau
 from .slocc_ops import (
     random_local_invertible,
@@ -32,7 +32,7 @@ from .slocc_ops import (
 )
 from .stategen import basis_product, ghz, random_pure, w
 from .three_tangle import ckw_tangle, ckw_terms
-from .verify import verify_all
+from .verify import all_permutations, permutation_delta, verify_all
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -186,23 +186,16 @@ def _cmd_slocc_check(args) -> int:
 
 
 def _cmd_perm_check(args) -> int:
-    import itertools
-
     state = load_state(args.state) if args.state else random_pure(args.n, seed=args.seed)
-    base = n_tangle(state).average
-    worst = 0.0
-    count = 0
     if state.n <= 5:
-        perms = [QubitPermutation(p) for p in itertools.permutations(range(1, state.n + 1))]
+        perms = all_permutations(state.n)
     else:
         rng = np.random.default_rng(args.seed)
         perms = [QubitPermutation(1 + rng.permutation(state.n)) for _ in range(args.trials)]
-    for p in perms:
-        worst = max(worst, abs(n_tangle(permute_qubits(state, p)).average - base))
-        count += 1
+    worst = permutation_delta(state, perms)
     ok = worst <= args.tol
     _emit(
-        f"permutations {count} worst_delta {_g(worst)} tol {_g(args.tol)} "
+        f"permutations {len(perms)} worst_delta {_g(worst)} tol {_g(args.tol)} "
         f"{'PASS' if ok else 'FAIL'}\n",
         args.out,
     )
@@ -239,7 +232,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    results = verify_all(seed=args.seed, tol=args.tol, quick=args.quick)
+    results = verify_all(seed=args.seed, quick=args.quick)
     if args.format == "json":
         doc = [
             {
@@ -338,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run the full identity suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--quick", action="store_true")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")

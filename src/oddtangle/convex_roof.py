@@ -113,10 +113,6 @@ def decomposition_from_isometry(rho: MixedState, V: np.ndarray) -> Decomposition
     return Decomposition(tuple(members))
 
 
-def _tangle_average(state: PureState) -> float:
-    return n_tangle(state).average
-
-
 def _swap_bits(idx: np.ndarray, n: int, i: int) -> np.ndarray:
     """Indices with the bits of qubit 1 and qubit i exchanged."""
     hi, lo = n - 1, n - i
@@ -143,21 +139,13 @@ def _roof_tables(n: int):
     return L, R, C
 
 
-def _objective(rho: MixedState, W: np.ndarray, measure=None) -> float:
+def _objective(rho: MixedState, W: np.ndarray) -> float:
     """sum_i p_i * tau_avg(psi_i) with rows w_i = sqrt(p_i) psi_i.
 
     Vectorized over ensemble members; the tangle is degree-4 homogeneous, so
     p * tau(w/sqrt(p)) = tau_raw(w)/p.  Agrees with summing the public
     n_tangle averages member by member (tested).
     """
-    if measure is not None:
-        total = 0.0
-        for w in W:
-            p = float(np.real(np.vdot(w, w)))
-            if p < ZERO_WEIGHT_CUTOFF:
-                continue
-            total += p * measure(PureState(rho.n, w / math.sqrt(p)))
-        return total
     n = rho.n
     left, right, C = _roof_tables(n)
     p = np.real(np.sum(W * W.conj(), axis=1))
@@ -197,7 +185,6 @@ def convex_roof_tangle(
     seed: int = 0,
     tol: float = 1e-9,
     maxiter: int = 200,
-    measure=None,
 ) -> RoofResult:
     """Minimize the ensemble-averaged tangle over decompositions of rho.
 
@@ -222,7 +209,7 @@ def convex_roof_tangle(
     scaled = vecs * np.sqrt(vals)  # columns sqrt(lam_j) e_j
 
     def obj_of_V(V: np.ndarray) -> float:
-        return _objective(rho, V @ scaled.T, measure)
+        return _objective(rho, V @ scaled.T)
 
     def f(x: np.ndarray) -> float:
         return obj_of_V(_isometry_from_params(x, m, r))
@@ -258,9 +245,7 @@ def convex_roof_tangle(
     best = decomposition_from_isometry(rho, best_V)
     # report the value recomputed from the returned decomposition so the
     # two stay consistent to the last bit
-    value = best.ensemble_average(
-        measure if measure is not None else _tangle_average
-    )
+    value = best.ensemble_average(lambda psi: n_tangle(psi).average)
     return RoofResult(
         value=value,
         best=best,

@@ -9,11 +9,16 @@ Density file:
      "matrix": [[[re, im], ...], ...]}     # 2**n rows of 2**n [re, im]
 
 Floats are written as their shortest round-tripping repr, so amplitudes
-round-trip exactly through the text form.
+round-trip exactly through the text form, signed zeros included.  Both
+loaders share one path and raise StateFileError (CLI exit 2) on a wrong
+version, kind or shape, an `n` that is not a positive integer (`true`
+included), or an `re`/`im` that is not a JSON number (booleans, strings,
+null) or is an integer beyond float range.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -48,7 +53,30 @@ def density_to_dict(rho: MixedState) -> dict:
     }
 
 
-def _load_json(path: str) -> dict:
+def _pairs(raw, shape: tuple, where: str) -> np.ndarray:
+    """Complex array of `shape` from nested lists of JSON [re, im] pairs,
+    each entry bit for bit complex(re, im), signed zeros included."""
+    try:
+        x = np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StateFileError(f"{where}: expected a [re, im] pair of numbers ({exc})") from exc
+    if x.shape != shape + (2,):
+        raise StateFileError(f"{where}: expected {shape} [re, im] pairs, got shape {x.shape}")
+    # numpy also converts bools, None and numeric strings; JSON numbers
+    # arrive as int or float (bool is a subclass of int, hence exact types)
+    flat = raw
+    for _ in shape:
+        flat = itertools.chain.from_iterable(flat)
+    bad = set(map(type, flat)) - {int, float}
+    if bad:
+        names = ", ".join(sorted(t.__name__ for t in bad))
+        raise StateFileError(f"{where}: expected a [re, im] pair of numbers, found {names}")
+    return x.view(np.complex128).reshape(shape)
+
+
+def _load(path: str, kind: str, key: str, ndim: int, make):
+    """make(n, values) for a `kind` file whose `key` holds 2**n x ... (ndim
+    axes) [re, im] pairs."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -59,36 +87,20 @@ def _load_json(path: str) -> dict:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise StateFileError(f"{path}: unsupported format_version {version!r}")
-    return doc
-
-
-def _parse_pair(entry, where: str) -> complex:
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        # bool is a subclass of int, so test the exact type
-        or not all(type(v) in (int, float) for v in entry)
-    ):
-        raise StateFileError(f"{where}: expected a [re, im] pair, got {entry!r}")
-    return complex(entry[0], entry[1])
+    if doc.get("kind", "state") != kind:
+        raise StateFileError(f"{path}: kind is {doc.get('kind')!r}, expected {kind!r}")
+    n = doc.get("n")
+    if type(n) is not int or n < 1:  # exact type: bool is a subclass of int
+        raise StateFileError(f"{path}: bad qubit count {n!r}")
+    values = _pairs(doc.get(key), (2**n,) * ndim, f"{path}: {key}")
+    try:
+        return make(n, values)
+    except ValueError as exc:
+        raise StateFileError(f"{path}: {exc}") from exc
 
 
 def load_state(path: str) -> PureState:
-    doc = _load_json(path)
-    if doc.get("kind", "state") != "state":
-        raise StateFileError(f"{path}: kind is {doc.get('kind')!r}, expected 'state'")
-    n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise StateFileError(f"{path}: bad qubit count {n!r}")
-    raw = doc.get("amplitudes")
-    if not isinstance(raw, list) or len(raw) != 2**n:
-        got = len(raw) if isinstance(raw, list) else raw
-        raise StateFileError(f"{path}: need {2**n} amplitudes for n={n}, got {got}")
-    amps = [_parse_pair(e, f"{path}: amplitude {k}") for k, e in enumerate(raw)]
-    try:
-        return PureState(n, amps)
-    except ValueError as exc:
-        raise StateFileError(f"{path}: {exc}") from exc
+    return _load(path, "state", "amplitudes", 1, PureState)
 
 
 def save_state(state: PureState, path: str) -> None:
@@ -98,26 +110,7 @@ def save_state(state: PureState, path: str) -> None:
 
 
 def load_density(path: str) -> MixedState:
-    doc = _load_json(path)
-    if doc.get("kind") != "density":
-        raise StateFileError(f"{path}: kind is {doc.get('kind')!r}, expected 'density'")
-    n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise StateFileError(f"{path}: bad qubit count {n!r}")
-    raw = doc.get("matrix")
-    dim = 2**n
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise StateFileError(f"{path}: matrix must have {dim} rows")
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for r, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != dim:
-            raise StateFileError(f"{path}: row {r} must have {dim} entries")
-        for c, entry in enumerate(row):
-            m[r, c] = _parse_pair(entry, f"{path}: matrix[{r}][{c}]")
-    try:
-        return MixedState(n, m)
-    except ValueError as exc:
-        raise StateFileError(f"{path}: {exc}") from exc
+    return _load(path, "density", "matrix", 2, MixedState)
 
 
 def save_density(rho: MixedState, path: str) -> None:

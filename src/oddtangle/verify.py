@@ -1,12 +1,15 @@
-"""Aggregate invariant suite behind the `verify-all` CLI subcommand.
+"""Cross-checks of the identities the library implements twice.
 
-Each check exercises one of the identities the library implements twice
-(oracle vs. reduced path, defining vs. reduced sums, scaling law, ...) and
-reports its worst observed error against the check's tolerance.
+There is one function per comparison (oracle vs. reduced path, defining vs.
+reduced sums, scaling law, ...).  Each takes its samples from the caller
+and returns the worst error over them.  `verify_all`, behind the
+`verify-all` CLI subcommand, and the acceptance tests call the same
+functions, each with its own seeds, sample counts and tolerances.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,141 +41,167 @@ class CheckResult:
     detail: str = ""
 
 
-def _all_permutations(n: int):
-    import itertools
-
-    for p in itertools.permutations(range(1, n + 1)):
-        yield QubitPermutation(p)
+def all_permutations(n: int) -> list[QubitPermutation]:
+    """Every relabelling of the qubits 1..n."""
+    return [QubitPermutation(p) for p in itertools.permutations(range(1, n + 1))]
 
 
-def verify_all(seed: int = 0, tol: float | None = None, quick: bool = False):
-    """Run every cross-check; returns a list of CheckResult."""
+def perms_fixing(n: int, i: int, rng, count: int) -> list[QubitPermutation]:
+    """`count` random relabellings of 1..n that map qubit i to itself,
+    each drawn as one `rng.permutation` of the other qubits."""
+    others = [k for k in range(1, n + 1) if k != i]
+    # others ascend, so inserting i at index i - 1 puts every image at its qubit
+    return [QubitPermutation(np.insert(rng.permutation(others), i - 1, i)) for _ in range(count)]
+
+
+def oracle_error(states) -> float:
+    """Worst |fast - oracle| / max(1, oracle) over every qubit of each state."""
+    worst = 0.0
+    for s in states:
+        for i in range(1, s.n + 1):
+            ref = tangle_i_naive(s, i)
+            worst = max(worst, abs(tangle_i_fast(s, i) - ref) / max(1.0, ref))
+    return worst
+
+
+def bridge_errors(states) -> tuple[float, float]:
+    """Worst (bridge, rel_tau): bridge is the gap in I_bar = T, I_star = P/2,
+    I_star_shift = Q/2 and between defining and reduced residual sums;
+    rel_tau the relative gap between residual_tau and tangle_1_fast."""
+    bridge = rel_tau = 0.0
+    for s in states:
+        tpq = compute_TPQ(s)
+        d = residual_parts_defining(s)
+        r = residual_parts_reduced(s)
+        bridge = max(
+            bridge,
+            abs(d.I_bar - tpq.T),
+            abs(d.I_star - tpq.P / 2.0),
+            abs(d.I_star_shift - tpq.Q / 2.0),
+            abs(r.I_bar - d.I_bar),
+            abs(r.I_star - d.I_star),
+            abs(r.I_star_shift - d.I_star_shift),
+        )
+        rt, ft = residual_tau(s), tangle_1_fast(s)
+        rel_tau = max(rel_tau, abs(rt - ft) / max(abs(rt), abs(ft), 1e-300))
+    return bridge, rel_tau
+
+
+def permutation_delta(state, perms) -> float:
+    """Worst change of the average tangle under each relabelling in perms."""
+    base = n_tangle(state).average
+    deltas = (abs(n_tangle(permute_qubits(state, p)).average - base) for p in perms)
+    return max(deltas, default=0.0)
+
+
+def partial_permutation_delta(state, i: int, perms) -> float:
+    """Worst change of tau_i under each relabelling in perms (all fix i)."""
+    base = tangle_i_fast(state, i)
+    deltas = (abs(tangle_i_fast(permute_qubits(state, p), i) - base) for p in perms)
+    return max(deltas, default=0.0)
+
+
+def slocc_error(pairs) -> float:
+    """Worst relative error of the SLOCC scaling law over (state, chain) pairs."""
+    return max((verify_slocc_equation(s, c).rel_error for s, c in pairs), default=0.0)
+
+
+def lu_error(pairs) -> float:
+    """Worst relative change of any per-qubit tangle over (state, unitary
+    chain) pairs."""
+    return max((verify_lu_invariance(s, c).rel_error for s, c in pairs), default=0.0)
+
+
+def three_tangle_spread(states) -> float:
+    """Worst pairwise gap between the coefficient, oracle and fast 3-tangles."""
+    worst = 0.0
+    for s in states:
+        vals = [ckw_tangle(s), tangle_i_naive(s, 1), tangle_1_fast(s)]
+        worst = max(worst, max(abs(x - y) for x in vals for y in vals))
+    return worst
+
+
+def verify_all(seed: int = 0, quick: bool = False) -> list[CheckResult]:
+    """Run every cross-check on samples drawn from `seed`; returns a list
+    of CheckResult."""
     results = []
 
-    def check(name, worst, default_tol, detail=""):
-        t = default_tol if tol is None else tol
-        results.append(CheckResult(name, worst <= t, worst, t, detail))
+    def check(name, worst, tol, detail=""):
+        results.append(CheckResult(name, worst <= tol, worst, tol, detail))
 
     ns_anchor = (3, 5) if quick else (3, 5, 7, 9)
-    worst = max(abs(n_tangle(ghz(n)).average - 1.0) for n in ns_anchor)
-    check("ghz_anchor", worst, 1e-12)
-    worst = max(abs(n_tangle(w(n)).average) for n in ns_anchor)
-    check("w_anchor", worst, 1e-12)
+    check("ghz_anchor", max(abs(n_tangle(ghz(n)).average - 1.0) for n in ns_anchor), 1e-12)
+    check("w_anchor", max(abs(n_tangle(w(n)).average) for n in ns_anchor), 1e-12)
 
-    worst = 0.0
     trials = 3 if quick else 10
-    for n in (3, 5):
-        for t in range(trials):
-            s = random_pure(n, seed=seed + 100 * n + t)
-            for i in range(1, n + 1):
-                ref = tangle_i_naive(s, i)
-                err = abs(tangle_i_fast(s, i) - ref) / max(1.0, ref)
-                worst = max(worst, err)
+    worst = oracle_error(
+        random_pure(n, seed=seed + 100 * n + t) for n in (3, 5) for t in range(trials)
+    )
     check("oracle_equivalence", worst, 1e-10)
 
-    worst_bridge = 0.0
-    worst_tau = 0.0
-    for n in ns_anchor:
-        for t in range(trials):
-            s = random_pure(n, seed=seed + 7000 + 100 * n + t)
-            tpq = compute_TPQ(s)
-            parts_d = residual_parts_defining(s)
-            parts_r = residual_parts_reduced(s)
-            worst_bridge = max(
-                worst_bridge,
-                abs(parts_d.I_bar - tpq.T),
-                abs(parts_d.I_star - tpq.P / 2.0),
-                abs(parts_d.I_star_shift - tpq.Q / 2.0),
-                abs(parts_r.I_bar - parts_d.I_bar),
-                abs(parts_r.I_star - parts_d.I_star),
-                abs(parts_r.I_star_shift - parts_d.I_star_shift),
-            )
-            rt, ft = residual_tau(s), tangle_1_fast(s)
-            worst_tau = max(worst_tau, abs(rt - ft) / max(abs(rt), abs(ft), 1e-300))
-    check("bridge_identities", worst_bridge, 1e-12)
-    check("residual_equals_fast", worst_tau, 1e-11)
+    bridge, rel_tau = bridge_errors(
+        random_pure(n, seed=seed + 7000 + 100 * n + t)
+        for n in ns_anchor
+        for t in range(trials)
+    )
+    check("bridge_identities", bridge, 1e-12)
+    check("residual_equals_fast", rel_tau, 1e-11)
 
-    worst = 0.0
-    n_states = 2 if quick else 5
-    for t in range(n_states):
-        s = random_pure(3, seed=seed + 300 + t)
-        base = n_tangle(s).average
-        for p in _all_permutations(3):
-            worst = max(worst, abs(n_tangle(permute_qubits(s, p)).average - base))
+    # one generator feeds the quick n=5 relabellings, then the partial ones
     rng = np.random.default_rng(seed + 17)
-    for t in range(n_states):
-        s = random_pure(5, seed=seed + 400 + t)
-        base = n_tangle(s).average
-        perms = (
+    n_states = 2 if quick else 5
+    samples = [
+        (random_pure(3, seed=seed + 300 + t), all_permutations(3)) for t in range(n_states)
+    ]
+    samples += [
+        (
+            random_pure(5, seed=seed + 400 + t),
             [QubitPermutation(1 + rng.permutation(5)) for _ in range(10)]
             if quick
-            else list(_all_permutations(5))
+            else all_permutations(5),
         )
-        for p in perms:
-            worst = max(worst, abs(n_tangle(permute_qubits(s, p)).average - base))
+        for t in range(n_states)
+    ]
+    worst = max(permutation_delta(s, perms) for s, perms in samples)
     check("average_permutation_invariance", worst, 1e-10)
 
-    worst = 0.0
+    partial = []
     for n in (5, 7):
         s = random_pure(n, seed=seed + 500 + n)
-        for i in (1, n):
-            base = tangle_i_fast(s, i)
-            for t in range(5 if quick else 20):
-                others = [k for k in range(1, n + 1) if k != i]
-                shuffled = list(rng.permutation(others))
-                mapping = [0] * n
-                mapping[i - 1] = i
-                for src, dst in zip(others, shuffled):
-                    mapping[src - 1] = int(dst)
-                p = QubitPermutation(mapping)
-                worst = max(worst, abs(tangle_i_fast(permute_qubits(s, p), i) - base))
+        partial += [(s, i, perms_fixing(n, i, rng, 5 if quick else 20)) for i in (1, n)]
+    worst = max(partial_permutation_delta(s, i, perms) for s, i, perms in partial)
     check("per_qubit_partial_invariance", worst, 1e-10)
 
-    worst = 0.0
-    for n in (3, 5, 7):
-        for t in range(3 if quick else 10):
-            s = random_pure(n, seed=seed + 600 + 10 * n + t)
-            c = random_local_invertible(n, seed=seed + 700 + 10 * n + t)
-            worst = max(worst, verify_slocc_equation(s, c).rel_error)
+    worst = slocc_error(
+        (
+            random_pure(n, seed=seed + 600 + 10 * n + t),
+            random_local_invertible(n, seed=seed + 700 + 10 * n + t),
+        )
+        for n in (3, 5, 7)
+        for t in range(trials)
+    )
     check("slocc_equation", worst, 1e-9)
 
-    worst = 0.0
-    for n in (3, 5):
-        for t in range(3 if quick else 10):
-            s = random_pure(n, seed=seed + 800 + 10 * n + t)
-            u = random_local_unitary(n, seed=seed + 900 + 10 * n + t)
-            worst = max(worst, verify_lu_invariance(s, u).rel_error)
+    worst = lu_error(
+        (
+            random_pure(n, seed=seed + 800 + 10 * n + t),
+            random_local_unitary(n, seed=seed + 900 + 10 * n + t),
+        )
+        for n in (3, 5)
+        for t in range(trials)
+    )
     check("lu_invariance", worst, 1e-9)
 
-    worst = 0.0
-    for t in range(10 if quick else 50):
-        s = random_pure(3, seed=seed + 1000 + t)
-        vals = [ckw_tangle(s), tangle_i_naive(s, 1), tangle_1_fast(s)]
-        worst = max(
-            worst, max(abs(x - y) for x in vals for y in vals)
-        )
+    worst = three_tangle_spread(
+        random_pure(3, seed=seed + 1000 + t) for t in range(10 if quick else 50)
+    )
     check("three_tangle_crosscheck", worst, 1e-10)
 
     witness = find_noninvariance_witness(5, trials=20 if quick else 100, seed=seed)
-    if witness is None:
-        results.append(
-            CheckResult(
-                "noninvariance_witness",
-                passed=False,
-                worst_error=0.0,
-                tolerance=1e-6,
-                detail="no witness found; the non-invariance claim is unconfirmed",
-            )
-        )
-    else:
+    gap, detail = 0.0, "no witness found; the non-invariance claim is unconfirmed"
+    if witness is not None:
         _, perm, before, after = witness
-        results.append(
-            CheckResult(
-                "noninvariance_witness",
-                passed=True,
-                worst_error=abs(before - after),
-                tolerance=1e-6,
-                detail=f"permutation {perm.map}: {before:.6g} -> {after:.6g}",
-            )
-        )
+        gap, detail = abs(before - after), f"permutation {perm.map}: {before:.6g} -> {after:.6g}"
+    # inverted check: it passes when some gap exceeds the 1e-6 threshold
+    results.append(CheckResult("noninvariance_witness", witness is not None, gap, 1e-6, detail))
     return results

@@ -19,22 +19,22 @@ from oddtangle.bench import (
     paper_naive_count,
 )
 from oddtangle.convex_roof import MixedState, convex_roof_tangle, decomposition_from_isometry
-from oddtangle.fast_tangle import compute_TPQ, n_tangle, tangle_1_fast, tangle_i_fast
+from oddtangle.fast_tangle import n_tangle, tangle_1_fast
 from oddtangle.naive_tangle import find_noninvariance_witness, tangle_i_naive
-from oddtangle.qstate import QubitPermutation, permute_qubits
-from oddtangle.residual_forms import (
-    residual_parts_defining,
-    residual_parts_reduced,
-    residual_tau,
-)
-from oddtangle.slocc_ops import (
-    random_local_invertible,
-    random_local_unitary,
-    verify_lu_invariance,
-    verify_slocc_equation,
-)
+from oddtangle.qstate import permute_qubits
+from oddtangle.slocc_ops import random_local_invertible, random_local_unitary
 from oddtangle.stategen import basis_product, ghz, random_pure, w
-from oddtangle.three_tangle import ckw_tangle
+from oddtangle.verify import (
+    all_permutations,
+    bridge_errors,
+    lu_error,
+    oracle_error,
+    partial_permutation_delta,
+    permutation_delta,
+    perms_fixing,
+    slocc_error,
+    three_tangle_spread,
+)
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -70,14 +70,9 @@ def test_criterion_02_w_anchor():
 
 def test_criterion_03_oracle_equivalence():
     t0 = time.perf_counter()
-    worst = 0.0
-    for n in (3, 5):
-        for seed in range(100):
-            s = random_pure(n, seed=1000 * n + seed)
-            for i in range(1, n + 1):
-                ref = tangle_i_naive(s, i)
-                err = abs(tangle_i_fast(s, i) - ref) / max(1.0, ref)
-                worst = max(worst, err)
+    worst = oracle_error(
+        random_pure(n, seed=1000 * n + seed) for n in (3, 5) for seed in range(100)
+    )
     elapsed = time.perf_counter() - t0
     _report(
         3,
@@ -88,25 +83,9 @@ def test_criterion_03_oracle_equivalence():
 
 
 def test_criterion_04_bridge_identities():
-    worst_bridge = 0.0
-    worst_rel = 0.0
-    for n in (3, 5, 7, 9):
-        for seed in range(100):
-            s = random_pure(n, seed=5000 * n + seed)
-            tpq = compute_TPQ(s)
-            d = residual_parts_defining(s)
-            r = residual_parts_reduced(s)
-            worst_bridge = max(
-                worst_bridge,
-                abs(d.I_bar - tpq.T),
-                abs(d.I_star - tpq.P / 2.0),
-                abs(d.I_star_shift - tpq.Q / 2.0),
-                abs(r.I_bar - d.I_bar),
-                abs(r.I_star - d.I_star),
-                abs(r.I_star_shift - d.I_star_shift),
-            )
-            rt, ft = residual_tau(s), tangle_1_fast(s)
-            worst_rel = max(worst_rel, abs(rt - ft) / max(abs(rt), abs(ft), 1e-300))
+    worst_bridge, worst_rel = bridge_errors(
+        random_pure(n, seed=5000 * n + seed) for n in (3, 5, 7, 9) for seed in range(100)
+    )
     _report(
         4,
         "residual sums bridge to T, P/2, Q/2 within 1e-12 and residual tau matches "
@@ -117,20 +96,11 @@ def test_criterion_04_bridge_identities():
 
 
 def test_criterion_05_average_permutation_invariance():
-    import itertools
-
-    worst = 0.0
-    for n, perms in (
-        (3, [QubitPermutation(p) for p in itertools.permutations((1, 2, 3))]),
-        (5, [QubitPermutation(p) for p in itertools.permutations((1, 2, 3, 4, 5))]),
-    ):
-        for seed in range(20):
-            s = random_pure(n, seed=300 * n + seed)
-            base = n_tangle(s).average
-            for p in perms:
-                worst = max(
-                    worst, abs(n_tangle(permute_qubits(s, p)).average - base)
-                )
+    worst = max(
+        permutation_delta(random_pure(n, seed=300 * n + seed), perms)
+        for n, perms in ((3, all_permutations(3)), (5, all_permutations(5)))
+        for seed in range(20)
+    )
     _report(
         5,
         "average tangle invariant under all 6 (n=3) and all 120 (n=5) permutations, "
@@ -142,22 +112,13 @@ def test_criterion_05_average_permutation_invariance():
 
 def test_criterion_06_per_qubit_partial_invariance():
     rng = np.random.default_rng(6)
-    worst = 0.0
-    for n in (5, 7):
-        for i in (1, (n + 1) // 2, n):
-            s = random_pure(n, seed=60 * n + i)
-            base = tangle_i_fast(s, i)
-            others = [k for k in range(1, n + 1) if k != i]
-            for _ in range(50):
-                shuffled = rng.permutation(others)
-                mapping = [0] * n
-                mapping[i - 1] = i
-                for src, dst in zip(others, shuffled):
-                    mapping[src - 1] = int(dst)
-                p = QubitPermutation(mapping)
-                worst = max(
-                    worst, abs(tangle_i_fast(permute_qubits(s, p), i) - base)
-                )
+    worst = max(
+        partial_permutation_delta(
+            random_pure(n, seed=60 * n + i), i, perms_fixing(n, i, rng, 50)
+        )
+        for n in (5, 7)
+        for i in (1, (n + 1) // 2, n)
+    )
     _report(
         6,
         "per-qubit tangle invariant under 50 random permutations fixing that qubit, "
@@ -168,18 +129,16 @@ def test_criterion_06_per_qubit_partial_invariance():
 
 
 def test_criterion_07_slocc_equation():
-    worst_slocc = 0.0
-    for n in (3, 5, 7):
-        for seed in range(100):
-            s = random_pure(n, seed=7000 * n + seed)
-            chain = random_local_invertible(n, seed=7500 * n + seed)
-            worst_slocc = max(worst_slocc, verify_slocc_equation(s, chain).rel_error)
-    worst_lu = 0.0
-    for n in (3, 5, 7):
-        for seed in range(20):
-            s = random_pure(n, seed=7900 * n + seed)
-            u = random_local_unitary(n, seed=7950 * n + seed)
-            worst_lu = max(worst_lu, verify_lu_invariance(s, u).rel_error)
+    worst_slocc = slocc_error(
+        (random_pure(n, seed=7000 * n + seed), random_local_invertible(n, seed=7500 * n + seed))
+        for n in (3, 5, 7)
+        for seed in range(100)
+    )
+    worst_lu = lu_error(
+        (random_pure(n, seed=7900 * n + seed), random_local_unitary(n, seed=7950 * n + seed))
+        for n in (3, 5, 7)
+        for seed in range(20)
+    )
     _report(
         7,
         "SLOCC scaling law holds within 1e-9 relative on 100 pairs per n in {3,5,7}; "
@@ -190,11 +149,7 @@ def test_criterion_07_slocc_equation():
 
 
 def test_criterion_08_three_tangle_crosscheck():
-    worst = 0.0
-    for seed in range(200):
-        s = random_pure(3, seed=800 + seed)
-        vals = [ckw_tangle(s), tangle_i_naive(s, 1), tangle_1_fast(s)]
-        worst = max(worst, max(abs(x - y) for x in vals for y in vals))
+    worst = three_tangle_spread(random_pure(3, seed=800 + seed) for seed in range(200))
     _report(
         8,
         "coefficient, oracle, and fast 3-tangle agree pairwise within 1e-10 on 200 states",

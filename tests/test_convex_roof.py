@@ -131,14 +131,6 @@ def test_roof_value_matches_best_decomposition():
     )
 
 
-def test_roof_custom_measure():
-    rho = _pure_density(ghz(3))
-    result = convex_roof_tangle(
-        rho, restarts=1, seed=0, measure=lambda s: 2.0 * n_tangle(s).average
-    )
-    assert result.value == pytest.approx(2.0, abs=1e-6)
-
-
 def test_m_max_below_rank_rejected():
     rho = MixedState.from_ensemble(3, [(0.5, ghz(3)), (0.5, w(3))])
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 import oddtangle
 from oddtangle.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from oddtangle.convex_roof import MixedState
+from oddtangle.qstate import PureState
 from oddtangle.io import (
     StateFileError,
     load_density,
@@ -24,11 +25,12 @@ from oddtangle.stategen import ghz, random_pure, w
 
 def test_state_roundtrip_exact(tmp_path):
     path = str(tmp_path / "s.json")
-    s = random_pure(5, seed=3)
-    save_state(s, path)
-    back = load_state(path)
-    assert back.n == 5
-    np.testing.assert_array_equal(back.amps, s.amps)
+    signed_zeros = PureState(3, [complex(-0.0, -0.0), complex(-0.0, 0.5), 1.0] + [0.0] * 5)
+    for s in (random_pure(5, seed=3), signed_zeros):
+        save_state(s, path)
+        back = load_state(path)
+        assert back.n == s.n
+        assert back.amps.tobytes() == s.amps.tobytes()  # bits, so -0.0 != 0.0
 
 
 def test_density_roundtrip(tmp_path):
@@ -47,6 +49,8 @@ def test_density_roundtrip(tmp_path):
         '{"format_version": 2, "kind": "state", "n": 1, "amplitudes": [[1,0],[0,0]]}',
         '{"format_version": 1, "kind": "state", "n": 2, "amplitudes": [[1,0]]}',
         '{"format_version": 1, "kind": "state", "n": 1, "amplitudes": [[1,0],["x",0]]}',
+        '{"format_version": 1, "kind": "state", "n": 1, "amplitudes": [[1,0],["1",0]]}',
+        '{"format_version": 1, "kind": "state", "n": 1, "amplitudes": [[1,0],[null,0]]}',
         '{"format_version": 1, "kind": "density", "n": 1, "amplitudes": [[1,0],[0,0]]}',
         '{"format_version": 1, "kind": "state", "n": 1, "amplitudes": [[0,0],[0,0]]}',
     ],
@@ -82,6 +86,32 @@ def test_boolean_amplitudes_rejected(tmp_path, capsys, pair):
         load_state(str(path))
     assert main(["compute", "--state", str(path)]) == EXIT_INPUT_ERROR
     assert "expected a [re, im] pair" in capsys.readouterr().err
+
+
+_STATE_DOC = '{"format_version": 1, "kind": "state", "n": %s, "amplitudes": [[%s, 0], [0, 0]]}'
+_DENSITY_DOC = (
+    '{"format_version": 1, "kind": "density", "n": %s,'
+    ' "matrix": [[[%s, 0], [0, 0]], [[0, 0], [0, 0]]]}'
+)
+
+
+@pytest.mark.parametrize(
+    "n, entry, message",
+    [("true", "1", "bad qubit count"), ("1", str(10**400), "expected a [re, im] pair")],
+    ids=["bool_n", "int_beyond_float"],
+)
+@pytest.mark.parametrize(
+    "command, doc",
+    [("compute --state", _STATE_DOC), ("roof --density", _DENSITY_DOC)],
+    ids=["state", "density"],
+)
+def test_bad_count_or_huge_integer_is_an_input_error(
+    tmp_path, capsys, command, doc, n, entry, message
+):
+    path = tmp_path / "bad.json"
+    path.write_text(doc % (n, entry))
+    assert main([*command.split(), str(path)]) == EXIT_INPUT_ERROR
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- CLI
@@ -232,6 +262,17 @@ def test_cli_verify_all_quick(capsys):
     assert main(["verify-all", "--quick"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_cli_verify_all_reports_a_failed_check(monkeypatch, capsys):
+    import oddtangle.verify
+
+    fast = oddtangle.verify.tangle_i_fast
+    monkeypatch.setattr(oddtangle.verify, "tangle_i_fast", lambda s, i: fast(s, i) + 1e-6)
+    assert main(["verify-all", "--quick"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert any(l.startswith("[FAIL] oracle_equivalence ") for l in lines)
+    assert any(l.startswith("[PASS] ghz_anchor ") for l in lines)
 
 
 def test_cli_verify_all_json(capsys):
