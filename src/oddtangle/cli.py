@@ -210,6 +210,7 @@ def _cmd_roof(args) -> int:
     lines = [
         f"value {_g(result.value)}",
         f"restarts {result.restarts_used} converged {result.converged}",
+        f"evaluations {result.evaluations}",
         f"members {len(result.best.members)}",
     ]
     for k, (p, psi) in enumerate(result.best.members):

@@ -1,25 +1,31 @@
 """Convex-roof extension of the odd-n tangle to mixed states.
 
 Every rank-m decomposition of a rank-r density matrix is parametrized by an
-m x r isometry V acting on the scaled eigenvectors.  The minimizer runs
-seeded multi-restart derivative-free local search over a QR parametrization
-of V; the result is an upper bound on the true roof value, never a
-certificate of global optimality.
+m x r isometry V acting on the scaled eigenvectors; V is the polar factor
+M (M^H M)^(-1/2) of an unconstrained complex m x r matrix M.  The ensemble
+average of the tangle is evaluated for all members and qubits at once
+through the 2x2 matrices R_i, whose determinants are the tangles, together
+with its exact gradient.  The minimizer runs seeded multi-restart L-BFGS-B
+on that gradient (Roethlisberger, Lehmann & Loss, PRA 80, 042301 (2009)
+compute such roofs by gradient descent over the isometry).  The result is
+an upper bound on the true roof value, never a certificate of global
+optimality.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .fast_tangle import _terms, n_tangle
+from .fast_tangle import n_tangle
 from .qstate import PureState
 
 RANK_EIG_CUTOFF = 1e-10
 ZERO_WEIGHT_CUTOFF = 1e-12
+# adj [[a, b], [c, d]] = [[d, -b], [-c, a]]: the flipped transpose times these
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 class MixedState:
@@ -86,6 +92,8 @@ class RoofResult:
     best: Decomposition
     restarts_used: int
     converged: bool
+    evaluations: int
+    restart_log: tuple  # of (start value, final value, scipy status)
 
 
 def _scaled_vectors(rho: MixedState, V: np.ndarray) -> np.ndarray:
@@ -113,69 +121,76 @@ def decomposition_from_isometry(rho: MixedState, V: np.ndarray) -> Decomposition
     return Decomposition(tuple(members))
 
 
-def _swap_bits(idx: np.ndarray, n: int, i: int) -> np.ndarray:
-    """Indices with the bits of qubit 1 and qubit i exchanged."""
-    hi, lo = n - 1, n - i
-    diff = ((idx >> hi) ^ (idx >> lo)) & 1
-    return idx ^ ((diff << hi) | (diff << lo))
+def _objective(n: int, W: np.ndarray):
+    """sum_k p_k * tau_avg(psi_k) over rows w_k = sqrt(p_k) psi_k, and its
+    Wirtinger gradient dF/d(conj W).
 
-
-@lru_cache(maxsize=None)
-def _roof_tables(n: int):
-    """Combined gather/combine tables for the vectorized roof objective.
-
-    One gathered product array W[:, L] * W[:, R] followed by a single
-    matmul with C yields (T_i, P_i, Q_i) for every qubit i at once; the
-    epsilon signs and the factor 2 of P and Q are folded into C.
+    With psi~[y] = (-1)**popcount(y) psi[2**n - 1 - y] (epsilon on every
+    qubit), the 2x2 matrix R_i[a, c] = sum_x psi[x, bit i = a] psi~[x, bit
+    i = c] equals [[T_i, -P_i], [Q_i, -T_i]], so tau_i = 4|det R_i|; R_i is
+    one einsum over the (2**(i-1), 2, 2**(n-i)) view of each row.  det R_i
+    is quartic and holomorphic in w, so p * tau(w/sqrt(p)) =
+    sum_i 4|det R_i(w)| / p.  For odd n, R_i = S eps^T with S symmetric and
+    quadratic in w, so the psi~ half of d det = tr(adj R_i dR_i) equals the
+    direct half and d det / dw = 2 adj(R_i) contracted with psi~.  The
+    gradient of |det| is taken as 0 where det = 0 (the kink of |f|).  Rows
+    below the zero-weight cutoff add nothing.  Agrees with member-wise
+    n_tangle sums, and the gradient with central differences
+    (tests/test_convex_roof.py::test_objective_matches_member_sums).
     """
-    left, right, weight = _terms(n)
-    half = 1 << (n - 1)
-    block = np.repeat([0, 1, 2], [half, half >> 1, half >> 1])
-    L = np.concatenate([_swap_bits(left, n, i) for i in range(1, n + 1)])
-    R = np.concatenate([_swap_bits(right, n, i) for i in range(1, n + 1)])
-    cols = np.concatenate([3 * i + block for i in range(n)])
-    C = np.zeros((L.size, 3 * n))
-    C[np.arange(L.size), cols] = np.tile(weight, n)
-    return L, R, C
-
-
-def _objective(rho: MixedState, W: np.ndarray) -> float:
-    """sum_i p_i * tau_avg(psi_i) with rows w_i = sqrt(p_i) psi_i.
-
-    Vectorized over ensemble members; the tangle is degree-4 homogeneous, so
-    p * tau(w/sqrt(p)) = tau_raw(w)/p.  Agrees with summing the public
-    n_tangle averages member by member (tested).
-    """
-    n = rho.n
-    left, right, C = _roof_tables(n)
-    p = np.real(np.sum(W * W.conj(), axis=1))
+    p = np.sum(W.real**2 + W.imag**2, axis=1)
     keep = p >= ZERO_WEIGHT_CUTOFF
+    grad = np.zeros_like(W)
     if not np.any(keep):
-        return 0.0
-    Wk = W[keep]
-    tpq = (Wk[:, left] * Wk[:, right]) @ C  # members x (T_i, P_i, Q_i)
-    T, P, Q = tpq[:, 0::3], tpq[:, 1::3], tpq[:, 2::3]
-    tau_sum = np.sum(4.0 * np.abs(T * T - P * Q), axis=1)
-    return float(np.sum(tau_sum / (n * p[keep])))
+        return 0.0, grad
+    Wk, pk = W[keep], p[keep]
+    B = Wk.shape[0]
+    signs = np.ones(1)
+    for _ in range(n):
+        signs = np.concatenate([signs, -signs])
+    Wt = signs * Wk[:, ::-1]
+    tau = np.zeros(B)
+    g = np.zeros_like(Wk)
+    for i in range(1, n + 1):
+        shape = (B, 1 << (i - 1), 2, 1 << (n - i))
+        At = Wt.reshape(shape)
+        R = np.einsum("bjak,bjck->bac", Wk.reshape(shape), At)
+        det = R[:, 0, 0] * R[:, 1, 1] - R[:, 0, 1] * R[:, 1, 0]
+        adj = R[:, ::-1, ::-1].transpose(0, 2, 1) * _ADJ_SIGNS
+        mag = np.abs(det)
+        u = det.conj() / np.where(mag > 0, mag, 1.0)
+        tau += 4.0 * mag
+        # d|det|/d(conj w) = conj(u * d det / dw) / 2
+        g += (4.0 * u)[:, None] * np.einsum("bca,bjck->bjak", adj, At).reshape(B, -1)
+    grad[keep] = g.conj() / (n * pk)[:, None] - (tau / (n * pk * pk))[:, None] * Wk
+    return float(np.sum(tau / (n * pk))), grad
 
 
-def _random_isometry(rng, m: int, r: int) -> np.ndarray:
-    g = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-    q, rr = np.linalg.qr(g)
-    return q * (np.diag(rr) / np.abs(np.diag(rr)))
-
-
-def _isometry_from_params(x: np.ndarray, m: int, r: int) -> np.ndarray:
-    """Unconstrained 2mr real parameters -> m x r isometry via QR.
-
-    The R-diagonal phases are absorbed into Q so the map is insensitive to
-    column scaling of the parameter matrix.
-    """
+def _polar(x: np.ndarray, m: int, r: int):
+    """M from 2mr reals (real parts, then imaginary) and the isometry
+    V = M (M^H M)^(-1/2), with the eigenpairs (e, U) of M^H M."""
     M = (x[: m * r] + 1j * x[m * r :]).reshape(m, r)
-    q, rr = np.linalg.qr(M)
-    d = np.diag(rr)
-    d = np.where(np.abs(d) > 1e-300, d / np.abs(d), 1.0)
-    return q * d
+    e, U = np.linalg.eigh(M.conj().T @ M)
+    return M, e, U, M @ ((U / np.sqrt(e)) @ U.conj().T)
+
+
+def _value_and_grad(x: np.ndarray, n: int, m: int, r: int, scaled: np.ndarray):
+    """Roof objective at the polar isometry of x, and its gradient in x.
+
+    ``scaled`` holds the rows sqrt(lam_j) e_j, so the members are V @ scaled.
+    The backward pass through (M^H M)^(-1/2) uses the divided differences of
+    e^(-1/2), -1 / (sqrt(e_a e_b) (sqrt(e_a) + sqrt(e_b))), which at equal
+    eigenvalues is the derivative -e^(-3/2) / 2.
+    """
+    M, e, U, V = _polar(x, m, r)
+    value, gW = _objective(n, V @ scaled)
+    gV = gW @ scaled.conj().T  # dF/d(conj V)
+    s = np.sqrt(e)
+    K = M.conj().T @ gV
+    K = U.conj().T @ (K + K.conj().T) @ U / 2.0
+    C = U @ (K * (-1.0 / (np.outer(s, s) * np.add.outer(s, s)))) @ U.conj().T
+    gM = gV @ ((U / s) @ U.conj().T) + 2.0 * M @ C
+    return value, 2.0 * np.concatenate([gM.real.reshape(-1), gM.imag.reshape(-1)])
 
 
 def convex_roof_tangle(
@@ -188,13 +203,18 @@ def convex_roof_tangle(
 ) -> RoofResult:
     """Minimize the ensemble-averaged tangle over decompositions of rho.
 
-    Multi-restart derivative-free local minimization (Powell) over the
-    isometry parametrizing the decomposition.  Returns an upper bound on
-    the roof value: the best decomposition found across all restarts and
-    every candidate evaluated along the way.  ``converged`` means the best
-    restart's local search terminated by its own convergence test, not that
-    the bound is globally optimal.  Restarts stop early once the value
+    The eigendecomposition is evaluated first as a candidate.  Then each
+    restart runs L-BFGS-B with the exact gradient from
+    ``rng.standard_normal(2*m*r)`` (rng seeded by ``seed``), over the polar
+    isometry of those parameters, for at most ``maxiter`` iterations.
+    Returns an upper bound on the roof value: the best of the candidate and
+    every local minimum found.  ``converged`` means the
+    best restart's local search terminated by its own convergence test, not
+    that the bound is globally optimal.  Restarts stop early once the value
     drops to ``tol`` or below (the objective cannot go negative).
+    ``evaluations`` counts objective-and-gradient calls, the start
+    evaluations included; ``restart_log`` holds (start value, final value,
+    scipy status) per restart.
     """
     from scipy.optimize import minimize
 
@@ -206,49 +226,46 @@ def convex_roof_tangle(
     if m < r:
         raise ValueError(f"m_max={m} below rank {r}")
     rng = np.random.default_rng(seed)
-    scaled = vecs * np.sqrt(vals)  # columns sqrt(lam_j) e_j
+    scaled = (vecs * np.sqrt(vals)).T  # rows sqrt(lam_j) e_j
+    evaluations = 0
 
-    def obj_of_V(V: np.ndarray) -> float:
-        return _objective(rho, V @ scaled.T)
+    def f_and_grad(x: np.ndarray):
+        nonlocal evaluations
+        evaluations += 1
+        return _value_and_grad(x, rho.n, m, r, scaled)
 
-    def f(x: np.ndarray) -> float:
-        return obj_of_V(_isometry_from_params(x, m, r))
-
-    # identity start first: the eigendecomposition itself is always a
-    # candidate, so the result can never be worse than it
-    eye_params = np.concatenate(
-        [np.eye(m, r).reshape(-1), np.zeros(m * r)]
-    )
-    best_value = math.inf
-    best_V = np.eye(m, r, dtype=np.complex128)
+    # the eigendecomposition (identity isometry) is always a candidate, so
+    # the result can never be worse than it; it is a stationary point for
+    # GHZ/W mixtures, so no local search starts there
+    best_x = np.concatenate([np.eye(m, r).reshape(-1), np.zeros(m * r)])
+    best_value = f_and_grad(best_x)[0]
     converged = False
-    restarts_used = 0
-    for restart in range(max(restarts, 1)):
-        x0 = eye_params if restart == 0 else rng.standard_normal(2 * m * r)
-        start_val = f(x0)
-        if start_val < best_value:
-            best_value = start_val
-            best_V = _isometry_from_params(x0, m, r)
-        res = minimize(
-            f,
-            x0,
-            method="Powell",
-            options={"xtol": 1e-10, "ftol": 1e-12, "maxiter": maxiter},
-        )
-        restarts_used = restart + 1
-        if res.fun < best_value:
-            best_value = float(res.fun)
-            best_V = _isometry_from_params(res.x, m, r)
-            converged = bool(res.success)
+    log = []
+    for _ in range(max(restarts, 1)):
         if best_value <= tol:
             break
-    best = decomposition_from_isometry(rho, best_V)
+        x0 = rng.standard_normal(2 * m * r)
+        start_val = f_and_grad(x0)[0]
+        res = minimize(
+            f_and_grad,
+            x0,
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": maxiter, "ftol": 1e-12, "gtol": 1e-8},
+        )
+        log.append((start_val, float(res.fun), int(res.status)))
+        # L-BFGS-B only accepts descent steps, so res.fun <= start_val
+        if res.fun < best_value:
+            best_value, best_x, converged = float(res.fun), res.x, bool(res.success)
+    best = decomposition_from_isometry(rho, _polar(best_x, m, r)[3])
     # report the value recomputed from the returned decomposition so the
     # two stay consistent to the last bit
     value = best.ensemble_average(lambda psi: n_tangle(psi).average)
     return RoofResult(
         value=value,
         best=best,
-        restarts_used=restarts_used,
+        restarts_used=len(log),
         converged=converged,
+        evaluations=evaluations,
+        restart_log=tuple(log),
     )

@@ -11,9 +11,9 @@ Density file:
 Floats are written as their shortest round-tripping repr, so amplitudes
 round-trip exactly through the text form, signed zeros included.  Both
 loaders share one path and raise StateFileError (CLI exit 2) on a wrong
-version, kind or shape, an `n` that is not a positive integer (`true`
-included), or an `re`/`im` that is not a JSON number (booleans, strings,
-null) or is an integer beyond float range.
+version, kind or shape, an `n` that is not an integer in 1..MAX_QUBITS
+(`true` included), or an `re`/`im` that is not a JSON number (booleans,
+strings, null) or is an integer beyond float range.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import json
 import numpy as np
 
 from .convex_roof import MixedState
-from .qstate import PureState
+from .qstate import MAX_QUBITS, PureState
 
 FORMAT_VERSION = 1
 
@@ -90,8 +90,9 @@ def _load(path: str, kind: str, key: str, ndim: int, make):
     if doc.get("kind", "state") != kind:
         raise StateFileError(f"{path}: kind is {doc.get('kind')!r}, expected {kind!r}")
     n = doc.get("n")
-    if type(n) is not int or n < 1:  # exact type: bool is a subclass of int
-        raise StateFileError(f"{path}: bad qubit count {n!r}")
+    # exact type: bool is a subclass of int
+    if type(n) is not int or not 1 <= n <= MAX_QUBITS:
+        raise StateFileError(f"{path}: bad qubit count {n!r}, need 1..{MAX_QUBITS}")
     values = _pairs(doc.get(key), (2**n,) * ndim, f"{path}: {key}")
     try:
         return make(n, values)

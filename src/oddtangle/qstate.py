@@ -14,6 +14,18 @@ import numpy as np
 
 DEFAULT_NORM_TOL = 1e-9
 
+# Largest qubit count the state generators and file loaders accept.  A
+# state holds 2**n complex doubles (256 MiB at n=24), and the T/P/Q kernel
+# needs several more arrays of that length; n=21 takes well under 1 GiB.
+MAX_QUBITS = 24
+
+
+def check_qubit_count(n: int) -> None:
+    """Raise ValueError for n above MAX_QUBITS, before anything of size
+    2**n is allocated."""
+    if n > MAX_QUBITS:
+        raise ValueError(f"{n} qubits exceed the limit of MAX_QUBITS={MAX_QUBITS}")
+
 
 class PureState:
     """Complex amplitude vector of length 2**n.

@@ -41,6 +41,13 @@ class CheckResult:
     detail: str = ""
 
 
+def worst_of(values) -> float:
+    """Largest of the non-negative errors in values (0.0 if there are none),
+    NaN if any is NaN: max() and max(worst, e) drop a NaN unless it comes
+    first, and a NaN error must fail its check."""
+    return float(np.max(np.fromiter(values, dtype=np.float64), initial=0.0))
+
+
 def all_permutations(n: int) -> list[QubitPermutation]:
     """Every relabelling of the qubits 1..n."""
     return [QubitPermutation(p) for p in itertools.permutations(range(1, n + 1))]
@@ -56,69 +63,68 @@ def perms_fixing(n: int, i: int, rng, count: int) -> list[QubitPermutation]:
 
 def oracle_error(states) -> float:
     """Worst |fast - oracle| / max(1, oracle) over every qubit of each state."""
-    worst = 0.0
-    for s in states:
-        for i in range(1, s.n + 1):
-            ref = tangle_i_naive(s, i)
-            worst = max(worst, abs(tangle_i_fast(s, i) - ref) / max(1.0, ref))
-    return worst
+    def errors():
+        for s in states:
+            for i in range(1, s.n + 1):
+                ref = tangle_i_naive(s, i)
+                yield abs(tangle_i_fast(s, i) - ref) / max(1.0, ref)
+
+    return worst_of(errors())
 
 
 def bridge_errors(states) -> tuple[float, float]:
     """Worst (bridge, rel_tau): bridge is the gap in I_bar = T, I_star = P/2,
     I_star_shift = Q/2 and between defining and reduced residual sums;
     rel_tau the relative gap between residual_tau and tangle_1_fast."""
-    bridge = rel_tau = 0.0
+    bridge, rel_tau = [], []
     for s in states:
         tpq = compute_TPQ(s)
         d = residual_parts_defining(s)
         r = residual_parts_reduced(s)
-        bridge = max(
-            bridge,
+        bridge += [
             abs(d.I_bar - tpq.T),
             abs(d.I_star - tpq.P / 2.0),
             abs(d.I_star_shift - tpq.Q / 2.0),
             abs(r.I_bar - d.I_bar),
             abs(r.I_star - d.I_star),
             abs(r.I_star_shift - d.I_star_shift),
-        )
+        ]
         rt, ft = residual_tau(s), tangle_1_fast(s)
-        rel_tau = max(rel_tau, abs(rt - ft) / max(abs(rt), abs(ft), 1e-300))
-    return bridge, rel_tau
+        rel_tau.append(abs(rt - ft) / max(abs(rt), abs(ft), 1e-300))
+    return worst_of(bridge), worst_of(rel_tau)
 
 
 def permutation_delta(state, perms) -> float:
     """Worst change of the average tangle under each relabelling in perms."""
     base = n_tangle(state).average
-    deltas = (abs(n_tangle(permute_qubits(state, p)).average - base) for p in perms)
-    return max(deltas, default=0.0)
+    return worst_of(abs(n_tangle(permute_qubits(state, p)).average - base) for p in perms)
 
 
 def partial_permutation_delta(state, i: int, perms) -> float:
     """Worst change of tau_i under each relabelling in perms (all fix i)."""
     base = tangle_i_fast(state, i)
-    deltas = (abs(tangle_i_fast(permute_qubits(state, p), i) - base) for p in perms)
-    return max(deltas, default=0.0)
+    return worst_of(abs(tangle_i_fast(permute_qubits(state, p), i) - base) for p in perms)
 
 
 def slocc_error(pairs) -> float:
     """Worst relative error of the SLOCC scaling law over (state, chain) pairs."""
-    return max((verify_slocc_equation(s, c).rel_error for s, c in pairs), default=0.0)
+    return worst_of(verify_slocc_equation(s, c).rel_error for s, c in pairs)
 
 
 def lu_error(pairs) -> float:
     """Worst relative change of any per-qubit tangle over (state, unitary
     chain) pairs."""
-    return max((verify_lu_invariance(s, c).rel_error for s, c in pairs), default=0.0)
+    return worst_of(verify_lu_invariance(s, c).rel_error for s, c in pairs)
 
 
 def three_tangle_spread(states) -> float:
     """Worst pairwise gap between the coefficient, oracle and fast 3-tangles."""
-    worst = 0.0
-    for s in states:
-        vals = [ckw_tangle(s), tangle_i_naive(s, 1), tangle_1_fast(s)]
-        worst = max(worst, max(abs(x - y) for x in vals for y in vals))
-    return worst
+    def gaps():
+        for s in states:
+            vals = [ckw_tangle(s), tangle_i_naive(s, 1), tangle_1_fast(s)]
+            yield from (abs(x - y) for x in vals for y in vals)
+
+    return worst_of(gaps())
 
 
 def verify_all(seed: int = 0, quick: bool = False) -> list[CheckResult]:
@@ -130,8 +136,8 @@ def verify_all(seed: int = 0, quick: bool = False) -> list[CheckResult]:
         results.append(CheckResult(name, worst <= tol, worst, tol, detail))
 
     ns_anchor = (3, 5) if quick else (3, 5, 7, 9)
-    check("ghz_anchor", max(abs(n_tangle(ghz(n)).average - 1.0) for n in ns_anchor), 1e-12)
-    check("w_anchor", max(abs(n_tangle(w(n)).average) for n in ns_anchor), 1e-12)
+    check("ghz_anchor", worst_of(abs(n_tangle(ghz(n)).average - 1.0) for n in ns_anchor), 1e-12)
+    check("w_anchor", worst_of(abs(n_tangle(w(n)).average) for n in ns_anchor), 1e-12)
 
     trials = 3 if quick else 10
     worst = oracle_error(
@@ -162,14 +168,14 @@ def verify_all(seed: int = 0, quick: bool = False) -> list[CheckResult]:
         )
         for t in range(n_states)
     ]
-    worst = max(permutation_delta(s, perms) for s, perms in samples)
+    worst = worst_of(permutation_delta(s, perms) for s, perms in samples)
     check("average_permutation_invariance", worst, 1e-10)
 
     partial = []
     for n in (5, 7):
         s = random_pure(n, seed=seed + 500 + n)
         partial += [(s, i, perms_fixing(n, i, rng, 5 if quick else 20)) for i in (1, n)]
-    worst = max(partial_permutation_delta(s, i, perms) for s, i, perms in partial)
+    worst = worst_of(partial_permutation_delta(s, i, perms) for s, i, perms in partial)
     check("per_qubit_partial_invariance", worst, 1e-10)
 
     worst = slocc_error(

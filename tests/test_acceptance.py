@@ -34,6 +34,7 @@ from oddtangle.verify import (
     perms_fixing,
     slocc_error,
     three_tangle_spread,
+    worst_of,
 )
 
 
@@ -48,7 +49,7 @@ def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_01_ghz_anchor():
     t0 = time.perf_counter()
-    worst = max(abs(n_tangle(ghz(n)).average - 1.0) for n in (3, 5, 7, 9))
+    worst = worst_of(abs(n_tangle(ghz(n)).average - 1.0) for n in (3, 5, 7, 9))
     elapsed = time.perf_counter() - t0
     _report(
         1,
@@ -59,7 +60,7 @@ def test_criterion_01_ghz_anchor():
 
 
 def test_criterion_02_w_anchor():
-    worst = max(abs(n_tangle(w(n)).average) for n in (3, 5, 7, 9))
+    worst = worst_of(abs(n_tangle(w(n)).average) for n in (3, 5, 7, 9))
     _report(
         2,
         "W average tangle is 0 within 1e-12 for n in {3,5,7,9}",
@@ -96,7 +97,7 @@ def test_criterion_04_bridge_identities():
 
 
 def test_criterion_05_average_permutation_invariance():
-    worst = max(
+    worst = worst_of(
         permutation_delta(random_pure(n, seed=300 * n + seed), perms)
         for n, perms in ((3, all_permutations(3)), (5, all_permutations(5)))
         for seed in range(20)
@@ -112,7 +113,7 @@ def test_criterion_05_average_permutation_invariance():
 
 def test_criterion_06_per_qubit_partial_invariance():
     rng = np.random.default_rng(6)
-    worst = max(
+    worst = worst_of(
         partial_permutation_delta(
             random_pure(n, seed=60 * n + i), i, perms_fixing(n, i, rng, 50)
         )

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+import oddtangle.convex_roof
 from oddtangle.convex_roof import (
     MixedState,
+    _objective,
+    _value_and_grad,
     convex_roof_tangle,
     decomposition_from_isometry,
 )
 from oddtangle.fast_tangle import n_tangle
+from oddtangle.qstate import PureState
 from oddtangle.stategen import basis_product, ghz, random_pure, w
 
 
@@ -135,3 +139,84 @@ def test_m_max_below_rank_rejected():
     rho = MixedState.from_ensemble(3, [(0.5, ghz(3)), (0.5, w(3))])
     with pytest.raises(ValueError):
         convex_roof_tangle(rho, m_max=1)
+
+
+def _central_differences(f, x, h=1e-6):
+    steps = np.eye(x.size) * h
+    return np.array([(f(x + e) - f(x - e)) / (2 * h) for e in steps])
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_objective_matches_member_sums(n):
+    rng = np.random.default_rng(n)
+    W = rng.standard_normal((4, 2**n)) + 1j * rng.standard_normal((4, 2**n))
+    W[2] = 0.0  # a zero-weight member adds nothing
+    value, grad = _objective(n, W)
+    ref = 0.0
+    for w_k in W[[0, 1, 3]]:
+        p = np.vdot(w_k, w_k).real
+        ref += p * n_tangle(PureState(n, w_k / np.sqrt(p))).average
+    assert value == pytest.approx(ref, rel=1e-12)
+
+    # dF/d(re w) = 2 Re(dF/d(conj w)), dF/d(im w) = 2 Im(dF/d(conj w))
+    def f(y):
+        return _objective(n, (y[: W.size] + 1j * y[W.size :]).reshape(W.shape))[0]
+
+    y = np.concatenate([W.real.ravel(), W.imag.ravel()])
+    analytic = 2.0 * np.concatenate([grad.real.ravel(), grad.imag.ravel()])
+    np.testing.assert_allclose(analytic, _central_differences(f, y), rtol=0, atol=1e-6)
+
+    # the same through the polar isometry, at a random point and at the
+    # identity (equal eigenvalues of M^H M)
+    rho = MixedState.from_ensemble(
+        n, [(0.4, random_pure(n, seed=1)), (0.6, random_pure(n, seed=2))]
+    )
+    vals, vecs = rho.eigensystem()
+    scaled = (vecs * np.sqrt(vals)).T
+    m, r = 4, 2
+    eye = np.concatenate([np.eye(m, r).ravel(), np.zeros(m * r)])
+    for x in (rng.standard_normal(2 * m * r), eye):
+        _, analytic = _value_and_grad(x, n, m, r, scaled)
+        numeric = _central_differences(lambda z: _value_and_grad(z, n, m, r, scaled)[0], x)
+        np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-6)
+
+
+def _ghz_w_roof(p):
+    """Closed-form roof of p|GHZ><GHZ| + (1-p)|W><W| for n=3: Lohmayer,
+    Osterloh, Siewert & Uhlmann, PRL 97, 260502 (2006)."""
+    p0 = 4 * 2 ** (1 / 3) / (3 + 4 * 2 ** (1 / 3))
+    p1 = 0.5 + 3 * np.sqrt(465) / 310
+    if p <= p0:
+        return 0.0
+    if p <= p1:
+        return p**2 - 8 * np.sqrt(6) / 9 * np.sqrt(p * (1 - p) ** 3)
+    return 1 - (1 - p) * (1.5 + np.sqrt(465) / 18)
+
+
+@pytest.mark.parametrize("p, exact", [(0.6, 0.0), (0.7, 0.1906674), (0.9, 0.7302008)])
+def test_roof_matches_ghz_w_closed_form(p, exact):
+    roof = _ghz_w_roof(p)
+    assert roof == pytest.approx(exact, abs=1e-7)
+    rho = MixedState.from_ensemble(3, [(p, ghz(3)), (1 - p, w(3))])
+    value = convex_roof_tangle(rho, seed=0).value
+    assert value >= roof - 1e-9  # lower would mean a wrong objective
+    assert value <= roof + 1e-6  # optimizer quality
+
+
+def test_roof_counts_every_evaluation(monkeypatch):
+    calls = []
+    inner = oddtangle.convex_roof._value_and_grad
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(oddtangle.convex_roof, "_value_and_grad", counted)
+    rho = MixedState.from_ensemble(3, [(0.8, ghz(3)), (0.2, w(3))])
+    result = convex_roof_tangle(rho, restarts=3, seed=0)
+    assert result.evaluations == len(calls)
+    assert len(result.restart_log) == result.restarts_used == 3
+    assert all(final <= start for start, final, _ in result.restart_log)
+    assert min(final for _, final, _ in result.restart_log) == pytest.approx(
+        result.value, abs=1e-12
+    )

@@ -97,8 +97,12 @@ _DENSITY_DOC = (
 
 @pytest.mark.parametrize(
     "n, entry, message",
-    [("true", "1", "bad qubit count"), ("1", str(10**400), "expected a [re, im] pair")],
-    ids=["bool_n", "int_beyond_float"],
+    [
+        ("true", "1", "bad qubit count"),
+        ("1", str(10**400), "expected a [re, im] pair"),
+        ("40", "1", "bad qubit count 40, need 1..24"),
+    ],
+    ids=["bool_n", "int_beyond_float", "n_above_cap"],
 )
 @pytest.mark.parametrize(
     "command, doc",
@@ -121,6 +125,20 @@ def _gen(tmp_path, name, *args):
     path = str(tmp_path / name)
     assert main(["gen", "--out", path, *args]) == EXIT_OK
     return path
+
+
+@pytest.mark.parametrize("kind", ["ghz", "w", "random", "basis"])
+def test_cli_gen_above_qubit_cap_is_an_input_error(tmp_path, monkeypatch, capsys, kind):
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the qubit cap was checked")
+
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    monkeypatch.setattr(np.random, "default_rng", no_alloc)
+    out = str(tmp_path / "big.json")
+    argv = ["gen", "--type", kind, "--n", "40", "--bits", "0" * 40, "--out", out]
+    assert main(argv) == EXIT_INPUT_ERROR
+    assert "40 qubits exceed the limit of MAX_QUBITS=24" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_cli_gen_and_compute_text(tmp_path, capsys):
@@ -248,6 +266,9 @@ def test_cli_roof(tmp_path, capsys):
     out = capsys.readouterr().out
     value = float(out.splitlines()[0].split()[1])
     assert value == pytest.approx(1.0, abs=1e-6)
+    lines = out.splitlines()
+    assert lines[1].startswith("restarts 2 converged ")
+    assert lines[2].startswith("evaluations ") and int(lines[2].split()[1]) > 2
 
 
 def test_cli_bench(capsys):
@@ -273,6 +294,15 @@ def test_cli_verify_all_reports_a_failed_check(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert any(l.startswith("[FAIL] oracle_equivalence ") for l in lines)
     assert any(l.startswith("[PASS] ghz_anchor ") for l in lines)
+
+
+def test_cli_verify_all_fails_a_nan_error(monkeypatch, capsys):
+    import oddtangle.verify
+
+    monkeypatch.setattr(oddtangle.verify, "tangle_i_fast", lambda s, i: float("nan"))
+    assert main(["verify-all", "--quick"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert any(l.startswith("[FAIL] oracle_equivalence worst_error=nan ") for l in lines)
 
 
 def test_cli_verify_all_json(capsys):
