@@ -98,10 +98,10 @@ def _cmd_compute(args) -> int:
     elif args.format == "json":
         doc = {
             "n": report.n,
-            "per_qubit": [float(_g(t)) for t in report.per_qubit],
-            "average": float(_g(report.average)),
+            "per_qubit": list(report.per_qubit),
+            "average": report.average,
             "tpq": [
-                {k: [float(_g(getattr(t, k).real)), float(_g(getattr(t, k).imag))] for k in "TPQ"}
+                {k: [getattr(t, k).real, getattr(t, k).imag] for k in "TPQ"}
                 for t in report.tpq_per_qubit
             ],
         }
@@ -239,7 +239,7 @@ def _cmd_verify_all(args) -> int:
             {
                 "name": r.name,
                 "passed": r.passed,
-                "worst_error": float(_g(r.worst_error)),
+                "worst_error": r.worst_error,
                 "tolerance": r.tolerance,
                 "detail": r.detail,
             }

@@ -23,6 +23,8 @@ from .fast_tangle import n_tangle
 from .qstate import PureState
 
 RANK_EIG_CUTOFF = 1e-10
+# Hermiticity, trace and eigenvalue slack of a MixedState matrix
+DENSITY_TOL = 1e-10
 ZERO_WEIGHT_CUTOFF = 1e-12
 # adj [[a, b], [c, d]] = [[d, -b], [-c, a]]: the flipped transpose times these
 _ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -33,18 +35,18 @@ class MixedState:
 
     __slots__ = ("n", "matrix")
 
-    def __init__(self, n: int, matrix, tol: float = 1e-10):
+    def __init__(self, n: int, matrix):
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         m = np.asarray(matrix, dtype=np.complex128).copy()
         dim = 2**n
         if m.shape != (dim, dim):
             raise ValueError(f"matrix must be {dim}x{dim} for n={n}, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > tol:
+        if np.max(np.abs(m - m.conj().T)) > DENSITY_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
+        if abs(np.trace(m).real - 1.0) > DENSITY_TOL or abs(np.trace(m).imag) > DENSITY_TOL:
             raise ValueError("matrix trace must be 1 within tolerance")
-        if np.min(np.linalg.eigvalsh(m)) < -tol:
+        if np.min(np.linalg.eigvalsh(m)) < -DENSITY_TOL:
             raise ValueError("matrix has a negative eigenvalue beyond tolerance")
         m.setflags(write=False)
         self.n = n
@@ -74,9 +76,6 @@ class MixedState:
 @dataclass(frozen=True)
 class Decomposition:
     members: tuple  # of (weight, PureState)
-
-    def ensemble_average(self, measure) -> float:
-        return float(sum(p * measure(psi) for p, psi in self.members))
 
     def reconstruction(self, n: int) -> np.ndarray:
         dim = 2**n
@@ -199,17 +198,18 @@ def convex_roof_tangle(
     restarts: int = 32,
     seed: int = 0,
     tol: float = 1e-9,
-    maxiter: int = 200,
 ) -> RoofResult:
     """Minimize the ensemble-averaged tangle over decompositions of rho.
 
     The eigendecomposition is evaluated first as a candidate.  Then each
     restart runs L-BFGS-B with the exact gradient from
     ``rng.standard_normal(2*m*r)`` (rng seeded by ``seed``), over the polar
-    isometry of those parameters, for at most ``maxiter`` iterations.
-    Returns an upper bound on the roof value: the best of the candidate and
-    every local minimum found.  ``converged`` means the
-    best restart's local search terminated by its own convergence test, not
+    isometry of those parameters, until scipy's own convergence tests
+    (ftol 1e-12, gtol 1e-8) or its default iteration and evaluation limits
+    stop it.  Returns an upper bound on the roof value: the best of the
+    candidate and every local minimum found.  ``converged`` is True when
+    the restart with the lowest final value ended with scipy status 0 (its
+    convergence test met), and False when no restart ran; it does not mean
     that the bound is globally optimal.  Restarts stop early once the value
     drops to ``tol`` or below (the objective cannot go negative).
     ``evaluations`` counts objective-and-gradient calls, the start
@@ -239,7 +239,6 @@ def convex_roof_tangle(
     # GHZ/W mixtures, so no local search starts there
     best_x = np.concatenate([np.eye(m, r).reshape(-1), np.zeros(m * r)])
     best_value = f_and_grad(best_x)[0]
-    converged = False
     log = []
     for _ in range(max(restarts, 1)):
         if best_value <= tol:
@@ -251,21 +250,21 @@ def convex_roof_tangle(
             x0,
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": maxiter, "ftol": 1e-12, "gtol": 1e-8},
+            options={"ftol": 1e-12, "gtol": 1e-8},
         )
         log.append((start_val, float(res.fun), int(res.status)))
         # L-BFGS-B only accepts descent steps, so res.fun <= start_val
         if res.fun < best_value:
-            best_value, best_x, converged = float(res.fun), res.x, bool(res.success)
+            best_value, best_x = float(res.fun), res.x
     best = decomposition_from_isometry(rho, _polar(best_x, m, r)[3])
     # report the value recomputed from the returned decomposition so the
     # two stay consistent to the last bit
-    value = best.ensemble_average(lambda psi: n_tangle(psi).average)
+    value = float(sum(p * n_tangle(psi).average for p, psi in best.members))
     return RoofResult(
         value=value,
         best=best,
         restarts_used=len(log),
-        converged=converged,
+        converged=bool(log) and min(log, key=lambda entry: entry[1])[2] == 0,
         evaluations=evaluations,
         restart_log=tuple(log),
     )

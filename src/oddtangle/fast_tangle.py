@@ -33,7 +33,6 @@ class TangleReport:
     per_qubit: tuple
     average: float
     tpq_per_qubit: tuple
-    mult_count: int | None = None
 
 
 @lru_cache(maxsize=None)
@@ -108,16 +107,15 @@ def tangle_i_fast(state: PureState, i: int, counter=None) -> float:
     return _tau(compute_TPQ(_transposed(state, i), counter))
 
 
-def n_tangle(state: PureState, counter=None) -> TangleReport:
+def n_tangle(state: PureState) -> TangleReport:
     """All per-qubit tangles and their arithmetic mean."""
     _require_odd(state.n)
     n = state.n
-    tpqs = tuple(compute_TPQ(_transposed(state, i), counter) for i in range(1, n + 1))
+    tpqs = tuple(compute_TPQ(_transposed(state, i)) for i in range(1, n + 1))
     per_qubit = tuple(_tau(t) for t in tpqs)
     return TangleReport(
         n=n,
         per_qubit=per_qubit,
         average=sum(per_qubit) / n,
         tpq_per_qubit=tpqs,
-        mult_count=(counter.complex_mults if counter is not None else None),
     )

@@ -17,6 +17,8 @@ from .stategen import random_pure
 
 DEFAULT_CAP = 5
 HARD_CAP = 7
+# smallest change of the forced even-n formula counted as a witness
+WITNESS_THRESHOLD = 1e-6
 
 
 def epsilon(a: int, b: int) -> int:
@@ -26,8 +28,8 @@ def epsilon(a: int, b: int) -> int:
     return b - a
 
 
-def _check_cap(n: int, cap: int, cap_override: bool) -> None:
-    limit = min(cap, HARD_CAP) if not cap_override else HARD_CAP
+def _check_cap(n: int, cap_override: bool) -> None:
+    limit = HARD_CAP if cap_override else DEFAULT_CAP
     if n > limit:
         raise ValueError(
             f"n={n} exceeds the oracle cap {limit}"
@@ -120,7 +122,6 @@ def _w_pattern_literal(amps, n: int, i: int, counter=None) -> complex:
 def tangle_i_naive(
     state: PureState,
     i: int,
-    cap: int = DEFAULT_CAP,
     cap_override: bool = False,
     full_sum: bool = False,
     counter=None,
@@ -133,14 +134,13 @@ def tangle_i_naive(
         raise ValueError("tangles need n >= 3")
     if not 1 <= i <= n:
         raise ValueError(f"qubit {i} out of range 1..{n}")
-    _check_cap(n, cap, cap_override)
+    _check_cap(n, cap_override)
     kernel = _w_pattern_literal if full_sum else _w_pattern_pruned
     return 2.0 * abs(kernel(state.amps, n, i, counter))
 
 
 def wong_tangle_naive(
     state: PureState,
-    cap: int = DEFAULT_CAP,
     cap_override: bool = False,
     force: bool = False,
     counter=None,
@@ -159,34 +159,24 @@ def wong_tangle_naive(
         )
     if n < 2:
         raise ValueError("tangles need n >= 2")
-    _check_cap(n, cap, cap_override)
+    _check_cap(n, cap_override)
     return 2.0 * abs(_w_pattern_pruned(state.amps, n, n, counter))
 
 
-def find_noninvariance_witness(
-    n: int,
-    trials: int = 100,
-    seed: int = 0,
-    threshold: float = 1e-6,
-    cap: int = DEFAULT_CAP,
-    cap_override: bool = False,
-):
+def find_noninvariance_witness(n: int, trials: int = 100, seed: int = 0):
     """Search for a (state, permutation) pair where the forced even-n formula
     changes under the permutation.  Returns (state, permutation, before,
-    after) or None if nothing exceeds the threshold in `trials` attempts.
+    after) or None if nothing exceeds WITNESS_THRESHOLD in `trials` attempts.
     """
-    if n % 2 == 0 or n <= 3:
-        raise ValueError(f"witness search needs odd n > 3, got n={n}")
-    _check_cap(n, cap, cap_override)
+    if n % 2 == 0 or not 3 < n <= DEFAULT_CAP:
+        raise ValueError(f"witness search needs odd n with 3 < n <= {DEFAULT_CAP}, got n={n}")
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         state = random_pure(n, seed=int(rng.integers(0, 2**31)))
         perm_list = 1 + rng.permutation(n)
         perm = QubitPermutation(perm_list)
-        before = wong_tangle_naive(state, cap=cap, cap_override=cap_override, force=True)
-        after = wong_tangle_naive(
-            permute_qubits(state, perm), cap=cap, cap_override=cap_override, force=True
-        )
-        if abs(before - after) > threshold:
+        before = wong_tangle_naive(state, force=True)
+        after = wong_tangle_naive(permute_qubits(state, perm), force=True)
+        if abs(before - after) > WITNESS_THRESHOLD:
             return state, perm, before, after
     return None

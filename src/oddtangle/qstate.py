@@ -147,9 +147,9 @@ class LocalOperatorChain:
     def abs_det_sq_product(self) -> float:
         return float(np.prod(np.abs(self.dets()) ** 2))
 
-    def assert_invertible(self, tol: float = 1e-12) -> None:
+    def assert_invertible(self) -> None:
         for k, d in enumerate(self.dets(), start=1):
-            if abs(d) <= tol:
+            if abs(d) <= 1e-12:
                 raise ValueError(f"operator {k} is singular (|det|={abs(d):.3e})")
 
     def is_unitary(self, tol: float = 1e-10) -> bool:
@@ -210,15 +210,13 @@ def apply_local_operators(state: PureState, chain: LocalOperatorChain) -> PureSt
     return PureState(n, psi.reshape(-1))
 
 
-def reduced_density_single(
-    state: PureState, qubit: int, norm_tol: float = DEFAULT_NORM_TOL
-) -> np.ndarray:
+def reduced_density_single(state: PureState, qubit: int) -> np.ndarray:
     """Single-qubit reduced density matrix (partial trace over the rest)."""
     if not 1 <= qubit <= state.n:
         raise ValueError(f"qubit {qubit} out of range 1..{state.n}")
-    if not state.is_normalized(norm_tol):
+    if not state.is_normalized():
         raise ValueError(
-            f"state is not normalized (|norm^2 - 1| > {norm_tol:g})"
+            f"state is not normalized (|norm^2 - 1| > {DEFAULT_NORM_TOL:g})"
         )
     psi = state.amps.reshape((2,) * state.n)
     m = np.moveaxis(psi, qubit - 1, 0).reshape(2, -1)

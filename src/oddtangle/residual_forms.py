@@ -84,8 +84,8 @@ def residual_parts_reduced(state: PureState) -> ResidualParts:
     return ResidualParts(I_bar, I_star, I_star_shift)
 
 
-def residual_tau(state: PureState, reduced: bool = True) -> float:
-    """4|I_bar^2 - 4 * I_star * I_star_shift| (degree-4 homogeneous; no
-    normalization requirement)."""
-    parts = residual_parts_reduced(state) if reduced else residual_parts_defining(state)
+def residual_tau(state: PureState) -> float:
+    """4|I_bar^2 - 4 * I_star * I_star_shift| from the reduced sums
+    (degree-4 homogeneous; no normalization requirement)."""
+    parts = residual_parts_reduced(state)
     return 4.0 * abs(parts.I_bar**2 - 4.0 * parts.I_star * parts.I_star_shift)

@@ -11,8 +11,6 @@ from .fast_tangle import n_tangle
 from .qstate import LocalOperatorChain, PureState, apply_local_operators
 from .residual_forms import residual_tau
 
-DEFAULT_CONDITION_CAP = 20.0
-
 
 @dataclass(frozen=True)
 class SloccVerdict:
@@ -27,23 +25,16 @@ def _verdict(lhs: float, rhs: float, tol: float) -> SloccVerdict:
     return SloccVerdict(lhs=lhs, rhs=rhs, rel_error=rel, passed=rel <= tol)
 
 
-def random_local_invertible(
-    n: int,
-    seed: int,
-    condition_cap: float = DEFAULT_CONDITION_CAP,
-    min_abs_det: float = 0.1,
-) -> LocalOperatorChain:
-    """n seeded Gaussian 2x2 matrices, resampled until each has |det| >=
-    min_abs_det and condition number <= condition_cap."""
+def random_local_invertible(n: int, seed: int) -> LocalOperatorChain:
+    """n seeded Gaussian 2x2 matrices, resampled until each has |det| >= 0.1
+    and condition number <= 20."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if condition_cap <= 1.0:
-        raise ValueError("condition_cap must exceed 1")
     rng = np.random.default_rng(seed)
     ops = []
     while len(ops) < n:
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        if abs(np.linalg.det(m)) >= min_abs_det and np.linalg.cond(m) <= condition_cap:
+        if abs(np.linalg.det(m)) >= 0.1 and np.linalg.cond(m) <= 20.0:
             ops.append(m)
     return LocalOperatorChain(ops)
 
@@ -92,15 +83,12 @@ def verify_slocc_equation(
 
 
 def verify_lu_invariance(
-    state: PureState,
-    chain: LocalOperatorChain,
-    tol: float = 1e-9,
-    unitary_tol: float = 1e-10,
+    state: PureState, chain: LocalOperatorChain, tol: float = 1e-9
 ) -> SloccVerdict:
     """Check that local unitaries preserve every per-qubit tangle and the
     average.  Reported lhs/rhs are the averages; rel_error is the worst
     deviation across all per-qubit entries and the average."""
-    if not chain.is_unitary(unitary_tol):
+    if not chain.is_unitary():
         raise ValueError("chain is not unitary within tolerance")
     before = n_tangle(state)
     after = n_tangle(apply_local_operators(state, chain))
@@ -114,11 +102,12 @@ def verify_lu_invariance(
     )
 
 
-def slocc_distinguish(tau_a: float, tau_b: float, tol: float = 1e-9) -> str:
-    """'different_classes' iff exactly one tangle vanishes; equal vanishing
-    or two nonzero values prove nothing and give 'inconclusive'."""
+def slocc_distinguish(tau_a: float, tau_b: float) -> str:
+    """'different_classes' iff exactly one tangle vanishes (is <= 1e-9);
+    equal vanishing or two nonzero values prove nothing and give
+    'inconclusive'."""
     if tau_a < 0 or tau_b < 0:
         raise ValueError("tangles must be nonnegative")
-    a_zero = tau_a <= tol
-    b_zero = tau_b <= tol
+    a_zero = tau_a <= 1e-9
+    b_zero = tau_b <= 1e-9
     return "different_classes" if a_zero != b_zero else "inconclusive"

@@ -39,7 +39,7 @@ def ckw_tangle(state: PureState) -> float:
     return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
 
 
-def spin_flip_concurrence(state: PureState, norm_tol: float = 1e-9) -> float:
+def spin_flip_concurrence(state: PureState) -> float:
     """|<psi|psi~>|^2 with psi~ = (sigma_y (x) sigma_y) psi*.
 
     Note: the usual two-qubit concurrence is |<psi|psi~>| WITHOUT the outer
@@ -48,18 +48,18 @@ def spin_flip_concurrence(state: PureState, norm_tol: float = 1e-9) -> float:
     """
     if state.n != 2:
         raise ValueError(f"spin-flip concurrence needs n=2, got n={state.n}")
-    if not state.is_normalized(norm_tol):
+    if not state.is_normalized():
         raise ValueError("spin-flip concurrence expects a normalized state")
     flip = np.kron(_SIGMA_Y, _SIGMA_Y)
     psi_tilde = flip @ state.amps.conj()
     return float(abs(np.vdot(state.amps, psi_tilde)) ** 2)
 
 
-def c_a_bc_squared(state: PureState, cut_qubit: int, norm_tol: float = 1e-9) -> float:
+def c_a_bc_squared(state: PureState, cut_qubit: int) -> float:
     """Squared concurrence of one qubit against the rest: 4 det(rho_cut)."""
     if state.n != 3:
         raise ValueError(f"single-cut concurrence here needs n=3, got n={state.n}")
-    rho = reduced_density_single(state, cut_qubit, norm_tol)
+    rho = reduced_density_single(state, cut_qubit)
     det = np.real(rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0])
     if det < 0.0:
         if det < -1e-12:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fast_tangle import compute_TPQ, n_tangle, tangle_1_fast, tangle_i_fast
-from .naive_tangle import find_noninvariance_witness, tangle_i_naive
+from .naive_tangle import WITNESS_THRESHOLD, find_noninvariance_witness, tangle_i_naive
 from .qstate import QubitPermutation, permute_qubits
 from .residual_forms import (
     residual_parts_defining,
@@ -208,6 +208,8 @@ def verify_all(seed: int = 0, quick: bool = False) -> list[CheckResult]:
     if witness is not None:
         _, perm, before, after = witness
         gap, detail = abs(before - after), f"permutation {perm.map}: {before:.6g} -> {after:.6g}"
-    # inverted check: it passes when some gap exceeds the 1e-6 threshold
-    results.append(CheckResult("noninvariance_witness", witness is not None, gap, 1e-6, detail))
+    # inverted check: it passes when some gap exceeds the witness threshold
+    results.append(
+        CheckResult("noninvariance_witness", witness is not None, gap, WITNESS_THRESHOLD, detail)
+    )
     return results

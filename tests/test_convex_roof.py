@@ -220,3 +220,34 @@ def test_roof_counts_every_evaluation(monkeypatch):
     assert min(final for _, final, _ in result.restart_log) == pytest.approx(
         result.value, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_converged_reads_the_best_restart(seed):
+    # every decomposition of a pure density has the same value, so the
+    # restarts tie with the eigendecomposition up to the last bit; converged
+    # must follow the lowest restart's status, not that rounding
+    result = convex_roof_tangle(_pure_density(random_pure(3, seed=seed)), restarts=4, seed=seed)
+    best = min(result.restart_log, key=lambda entry: entry[1])
+    assert best[2] == 0
+    assert result.converged
+
+
+def test_converged_is_false_without_restarts():
+    rho = MixedState.from_ensemble(
+        3, [(0.5, basis_product(3, (0, 0, 0))), (0.5, basis_product(3, (1, 1, 1)))]
+    )
+    result = convex_roof_tangle(rho, restarts=4, seed=0)
+    assert result.restart_log == ()
+    assert not result.converged
+
+
+def test_roof_runs_to_convergence():
+    # n=5 rank 4: the local searches need several hundred iterations
+    weights = np.random.default_rng(0).dirichlet(np.ones(4))
+    rho = MixedState.from_ensemble(
+        5, [(p, random_pure(5, seed=k)) for k, p in enumerate(weights)]
+    )
+    result = convex_roof_tangle(rho, restarts=2, seed=0)
+    assert [status for _, _, status in result.restart_log] == [0, 0]
+    assert result.converged

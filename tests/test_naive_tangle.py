@@ -115,6 +115,8 @@ def test_witness_search_preconditions():
         find_noninvariance_witness(3)
     with pytest.raises(ValueError):
         find_noninvariance_witness(4)
+    with pytest.raises(ValueError, match="n <= 5"):
+        find_noninvariance_witness(7)  # above the oracle cap, which it cannot override
 
 
 def test_witness_found_at_n5():

@@ -79,7 +79,8 @@ def test_residual_tau_equals_fast(n):
         rt = residual_tau(s)
         ft = tangle_1_fast(s)
         assert abs(rt - ft) <= 1e-11 * max(abs(rt), abs(ft))
-        rt_def = residual_tau(s, reduced=False)
+        d = residual_parts_defining(s)
+        rt_def = 4.0 * abs(d.I_bar**2 - 4.0 * d.I_star * d.I_star_shift)
         assert abs(rt_def - ft) <= 1e-11 * max(abs(rt_def), abs(ft))
 
 
