@@ -5,7 +5,7 @@ m x r isometry V acting on the scaled eigenvectors; V is the polar factor
 M (M^H M)^(-1/2) of an unconstrained complex m x r matrix M.  The ensemble
 average of the tangle is evaluated for all members and qubits at once
 through the 2x2 matrices R_i, whose determinants are the tangles, together
-with its exact gradient.  The minimizer runs seeded multi-restart L-BFGS-B
+with its exact gradient.  The minimizer runs seeded multi-restart L-BFGS
 on that gradient (Roethlisberger, Lehmann & Loss, PRA 80, 042301 (2009)
 compute such roofs by gradient descent over the isometry).  The result is
 an upper bound on the true roof value, never a certificate of global
@@ -28,6 +28,14 @@ DENSITY_TOL = 1e-10
 ZERO_WEIGHT_CUTOFF = 1e-12
 # adj [[a, b], [c, d]] = [[d, -b], [-c, a]]: the flipped transpose times these
 _ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+# L-BFGS settings; the stopping tests and the two limits are L-BFGS-B's
+# (ftol and gtol as the roof always set them, default maxfun and maxls)
+LBFGS_MEMORY = 10
+ARMIJO_C1 = 1e-4
+LBFGS_FTOL = 1e-12
+LBFGS_GTOL = 1e-8
+LBFGS_MAX_EVALUATIONS = 15000
+LBFGS_MAX_HALVINGS = 20
 
 
 class MixedState:
@@ -92,7 +100,8 @@ class RoofResult:
     restarts_used: int
     converged: bool
     evaluations: int
-    restart_log: tuple  # of (start value, final value, scipy status)
+    restart_log: tuple  # of (start value, final value, status); status 0
+    # converged, 1 evaluation limit, 2 line search failed (see _lbfgs)
 
 
 def _scaled_vectors(rho: MixedState, V: np.ndarray) -> np.ndarray:
@@ -192,6 +201,64 @@ def _value_and_grad(x: np.ndarray, n: int, m: int, r: int, scaled: np.ndarray):
     return value, 2.0 * np.concatenate([gM.real.reshape(-1), gM.imag.reshape(-1)])
 
 
+def _lbfgs(fun, x0: np.ndarray):
+    """Minimize fun, which returns (value, gradient), from x0 by L-BFGS.
+
+    Two-loop recursion over the last LBFGS_MEMORY curvature pairs (pairs
+    with s.y <= 0 are skipped), scaled by s.y / y.y of the newest pair, or
+    by min(1, 1/max|g|) before there is one; Armijo backtracking from step
+    1, halving the step.  Returns (x, value, status): status 0 when
+    max|g| <= LBFGS_GTOL or the relative decrease
+    (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= LBFGS_FTOL, 1 when
+    LBFGS_MAX_EVALUATIONS calls are used up, 2 when the line search finds
+    no decrease in LBFGS_MAX_HALVINGS halvings or the direction is not a
+    descent direction.  Only accepted points are returned, so the value
+    never exceeds fun(x0).
+    """
+    x = x0
+    f, g = fun(x)
+    evaluations = 1
+    pairs = []  # (s, y, 1 / s.y), oldest first
+    while np.max(np.abs(g)) > LBFGS_GTOL:
+        d = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d = d - alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            d = d * ((s @ y) / (y @ y))
+        else:
+            d = d * min(1.0, 1.0 / np.max(np.abs(g)))
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d = d + (alpha - rho * (y @ d)) * s
+        slope = g @ d
+        if not slope < 0:
+            return x, f, 2
+        step = 1.0
+        for _ in range(LBFGS_MAX_HALVINGS):
+            if evaluations >= LBFGS_MAX_EVALUATIONS:
+                return x, f, 1
+            x_new = x + step * d
+            f_new, g_new = fun(x_new)
+            evaluations += 1
+            if f_new <= f + ARMIJO_C1 * step * slope:
+                break
+            step *= 0.5
+        else:
+            return x, f, 2
+        s, y = x_new - x, g_new - g
+        sy = s @ y
+        if sy > 0:
+            pairs.append((s, y, 1.0 / sy))
+            del pairs[:-LBFGS_MEMORY]
+        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if decrease <= LBFGS_FTOL:
+            break
+    return x, f, 0
+
+
 def convex_roof_tangle(
     rho: MixedState,
     m_max: int | None = None,
@@ -202,24 +269,27 @@ def convex_roof_tangle(
     """Minimize the ensemble-averaged tangle over decompositions of rho.
 
     The eigendecomposition is evaluated first as a candidate.  Then each
-    restart runs L-BFGS-B with the exact gradient from
+    of ``restarts`` restarts runs ``_lbfgs`` with the exact gradient from
     ``rng.standard_normal(2*m*r)`` (rng seeded by ``seed``), over the polar
-    isometry of those parameters, until scipy's own convergence tests
-    (ftol 1e-12, gtol 1e-8) or its default iteration and evaluation limits
-    stop it.  Returns an upper bound on the roof value: the best of the
-    candidate and every local minimum found.  ``converged`` is True when
-    the restart with the lowest final value ended with scipy status 0 (its
-    convergence test met), and False when no restart ran; it does not mean
-    that the bound is globally optimal.  Restarts stop early once the value
-    drops to ``tol`` or below (the objective cannot go negative).
+    isometry of those parameters: L-BFGS with memory 10 and Armijo
+    backtracking, until its convergence tests (ftol 1e-12, gtol 1e-8) or
+    its limits (15000 evaluations, 20 step halvings) stop it.  Returns an
+    upper bound on the roof value: the best of the candidate and every
+    local minimum found.  ``restarts=0`` evaluates the candidate alone;
+    a negative count raises ValueError.  ``converged`` is True when the
+    restart with the lowest final value ended with status 0 (a convergence
+    test met), and False when no restart ran; it does not mean that the
+    bound is globally optimal.  Restarts stop early once the value drops
+    to ``tol`` or below (the objective cannot go negative).
     ``evaluations`` counts objective-and-gradient calls, the start
     evaluations included; ``restart_log`` holds (start value, final value,
-    scipy status) per restart.
+    status) per restart, with status 0 converged, 1 evaluation limit and
+    2 line search failed.
     """
-    from scipy.optimize import minimize
-
     if rho.n % 2 == 0 or rho.n < 3:
         raise ValueError(f"roof needs odd n >= 3, got n={rho.n}")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     vals, vecs = rho.eigensystem()
     r = vals.size
     m = m_max if m_max is not None else r + 2
@@ -240,22 +310,15 @@ def convex_roof_tangle(
     best_x = np.concatenate([np.eye(m, r).reshape(-1), np.zeros(m * r)])
     best_value = f_and_grad(best_x)[0]
     log = []
-    for _ in range(max(restarts, 1)):
+    for _ in range(restarts):
         if best_value <= tol:
             break
         x0 = rng.standard_normal(2 * m * r)
         start_val = f_and_grad(x0)[0]
-        res = minimize(
-            f_and_grad,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"ftol": 1e-12, "gtol": 1e-8},
-        )
-        log.append((start_val, float(res.fun), int(res.status)))
-        # L-BFGS-B only accepts descent steps, so res.fun <= start_val
-        if res.fun < best_value:
-            best_value, best_x = float(res.fun), res.x
+        x, value, status = _lbfgs(f_and_grad, x0)
+        log.append((start_val, value, status))
+        if value < best_value:
+            best_value, best_x = value, x
     best = decomposition_from_isometry(rho, _polar(best_x, m, r)[3])
     # report the value recomputed from the returned decomposition so the
     # two stay consistent to the last bit

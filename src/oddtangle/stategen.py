@@ -32,15 +32,17 @@ def random_pure(n: int, seed: int) -> PureState:
     """Normalized state with i.i.d. complex Gaussian amplitudes.
 
     Generator: numpy's default_rng (PCG64) seeded with `seed`; real and
-    imaginary parts drawn as two standard-normal blocks.  Deterministic and
-    platform independent for a given numpy version.
+    imaginary parts drawn as two standard-normal blocks.  The norm is a
+    plain numpy sum, not a BLAS call, so for a given numpy version the bits
+    do not depend on the BLAS library or its thread count; they may differ
+    between numpy versions or CPUs whose sum takes another vectorized path.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     check_qubit_count(n)
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    amps /= np.linalg.norm(amps)
+    amps /= np.sqrt(np.sum(amps.real**2 + amps.imag**2))
     return PureState(n, amps)
 
 

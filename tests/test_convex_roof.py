@@ -4,6 +4,7 @@ import pytest
 import oddtangle.convex_roof
 from oddtangle.convex_roof import (
     MixedState,
+    _lbfgs,
     _objective,
     _value_and_grad,
     convex_roof_tangle,
@@ -141,6 +142,64 @@ def test_m_max_below_rank_rejected():
         convex_roof_tangle(rho, m_max=1)
 
 
+@pytest.mark.parametrize("restarts", [-1, -3])
+def test_negative_restarts_rejected(restarts):
+    rho = MixedState.from_ensemble(3, [(0.8, ghz(3)), (0.2, w(3))])
+    with pytest.raises(ValueError, match="restarts"):
+        convex_roof_tangle(rho, restarts=restarts)
+
+
+def test_zero_restarts_returns_the_eigendecomposition():
+    rho = MixedState.from_ensemble(3, [(0.8, ghz(3)), (0.2, w(3))])
+    vals, vecs = rho.eigensystem()
+    eig_avg = sum(
+        float(p) * n_tangle(PureState(3, vecs[:, j])).average for j, p in enumerate(vals)
+    )
+    result = convex_roof_tangle(rho, restarts=0)
+    assert (result.restarts_used, result.restart_log, result.converged) == (0, (), False)
+    assert result.evaluations == 1
+    assert result.value == pytest.approx(eig_avg, abs=1e-12)
+
+
+def test_lbfgs_minimizes_a_convex_quadratic():
+    # as many parameters as an n=3 rank-2 roof (2 * m * r with m = 4, r = 2);
+    # the ftol test stops once f falls by <= 1e-12, so the curvature (>= 1e4)
+    # is set where that decrease means an error below 1e-8 in x
+    rng = np.random.default_rng(0)
+    k = 16
+    Q = rng.standard_normal((k, k))
+    A = 1e4 * (Q.T @ Q / k + np.eye(k))
+    c = rng.standard_normal(k)
+
+    def fun(x):
+        return 0.5 * (x - c) @ A @ (x - c), A @ (x - c)
+
+    x, value, status = _lbfgs(fun, rng.standard_normal(k))
+    assert status == 0
+    np.testing.assert_allclose(x, c, rtol=0, atol=1e-8)
+    assert value == fun(x)[0]
+
+
+def test_lbfgs_reports_its_limits():
+    calls = []
+
+    def unbounded(x):  # every step is accepted and f never stops falling
+        calls.append(1)
+        return float(np.sum(x)), np.ones_like(x)
+
+    x, value, status = _lbfgs(unbounded, np.zeros(4))
+    assert (status, len(calls)) == (1, oddtangle.convex_roof.LBFGS_MAX_EVALUATIONS)
+    assert value == np.sum(x) < 0
+
+    def wrong_gradient(x):  # the direction ascends, so no step is accepted
+        return float(x @ x), -x
+
+    x0 = np.ones(4)
+    x, value, status = _lbfgs(wrong_gradient, x0)
+    assert status == 2
+    assert value == 4.0 and np.array_equal(x, x0)
+
+
 def _central_differences(f, x, h=1e-6):
     steps = np.eye(x.size) * h
     return np.array([(f(x + e) - f(x - e)) / (2 * h) for e in steps])
@@ -201,6 +260,14 @@ def test_roof_matches_ghz_w_closed_form(p, exact):
     value = convex_roof_tangle(rho, seed=0).value
     assert value >= roof - 1e-9  # lower would mean a wrong objective
     assert value <= roof + 1e-6  # optimizer quality
+
+
+@pytest.mark.parametrize("p", [0.5, 0.6, 0.68, 0.8, 0.9])
+def test_roof_restart_statuses_on_the_ghz_w_line(p):
+    rho = MixedState.from_ensemble(3, [(p, ghz(3)), (1 - p, w(3))])
+    result = convex_roof_tangle(rho, restarts=4, seed=0)
+    assert {status for _, _, status in result.restart_log} <= {0, 1, 2}
+    assert result.value >= _ghz_w_roof(p) - 1e-9
 
 
 def test_roof_counts_every_evaluation(monkeypatch):

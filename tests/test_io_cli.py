@@ -271,6 +271,39 @@ def test_cli_roof(tmp_path, capsys):
     assert lines[2].startswith("evaluations ") and int(lines[2].split()[1]) > 2
 
 
+@pytest.mark.parametrize("restarts", ["-3", "-1"])
+def test_cli_roof_negative_restarts_is_an_input_error(tmp_path, capsys, restarts):
+    rho_path = str(tmp_path / "rho.json")
+    save_density(MixedState.from_ensemble(3, [(0.8, ghz(3)), (0.2, w(3))]), rho_path)
+    assert main(["roof", "--density", rho_path, "--restarts", restarts]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "restarts" in err
+
+
+def test_cli_roof_zero_restarts_reports_the_eigendecomposition(tmp_path, capsys):
+    rho_path = str(tmp_path / "rho.json")
+    save_density(MixedState.from_ensemble(3, [(0.8, ghz(3)), (0.2, w(3))]), rho_path)
+    assert main(["roof", "--density", rho_path, "--restarts", "0"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "restarts 0 converged False"
+    assert lines[2] == "evaluations 1"
+
+
+def test_cli_roof_does_not_import_scipy(tmp_path):
+    rho_path = str(tmp_path / "rho.json")
+    save_density(MixedState.from_ensemble(3, [(0.8, ghz(3)), (0.2, w(3))]), rho_path)
+    src = os.path.dirname(os.path.dirname(oddtangle.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from oddtangle.cli import main\n"
+        f"assert main(['roof', '--density', {rho_path!r}, '--restarts', '2']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'roof imported scipy'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+
+
 def test_cli_bench(capsys):
     assert main(["bench", "--n-list", "3", "--repetitions", "1"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
@@ -353,3 +386,20 @@ def test_cli_compute_n15_identical_bytes_across_runs_and_blas_threads(tmp_path):
     assert first.splitlines()[0] == b"n 15" and len(first.splitlines()) == 17
     assert run() == first
     assert run(OPENBLAS_NUM_THREADS="1") == first
+
+
+def test_cli_gen_random_n17_identical_bytes_across_blas_threads(tmp_path):
+    src = os.path.dirname(os.path.dirname(oddtangle.__file__))
+
+    def run(name, **extra_env):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.update(extra_env)
+        out = tmp_path / name
+        cmd = [sys.executable, "-m", "oddtangle.cli", "gen", "--type", "random",
+               "--n", "17", "--seed", "0", "--out", str(out)]
+        subprocess.run(cmd, env=env, capture_output=True, check=True)
+        return out.read_bytes()
+
+    first = run("default.json")
+    assert run("one_thread.json", OPENBLAS_NUM_THREADS="1") == first
