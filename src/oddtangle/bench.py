@@ -70,6 +70,8 @@ class BenchRow:
 
 def timing_sweep(n_list, repetitions: int = 5, seed: int = 0):
     """Median wall times of both methods on one seeded random state per n."""
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     rows = []
     for n in n_list:
         if n % 2 == 0 or n < 3:

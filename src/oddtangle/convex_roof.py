@@ -201,8 +201,10 @@ def _value_and_grad(x: np.ndarray, n: int, m: int, r: int, scaled: np.ndarray):
     return value, 2.0 * np.concatenate([gM.real.reshape(-1), gM.imag.reshape(-1)])
 
 
-def _lbfgs(fun, x0: np.ndarray):
-    """Minimize fun, which returns (value, gradient), from x0 by L-BFGS.
+def _lbfgs(fun, x: np.ndarray, f: float, g: np.ndarray):
+    """Minimize fun, which returns (value, gradient), by L-BFGS from x,
+    where (f, g) = fun(x) is the caller's start evaluation; it counts as
+    the first of the LBFGS_MAX_EVALUATIONS calls.
 
     Two-loop recursion over the last LBFGS_MEMORY curvature pairs (pairs
     with s.y <= 0 are skipped), scaled by s.y / y.y of the newest pair, or
@@ -213,10 +215,8 @@ def _lbfgs(fun, x0: np.ndarray):
     LBFGS_MAX_EVALUATIONS calls are used up, 2 when the line search finds
     no decrease in LBFGS_MAX_HALVINGS halvings or the direction is not a
     descent direction.  Only accepted points are returned, so the value
-    never exceeds fun(x0).
+    never exceeds f.
     """
-    x = x0
-    f, g = fun(x)
     evaluations = 1
     pairs = []  # (s, y, 1 / s.y), oldest first
     while np.max(np.abs(g)) > LBFGS_GTOL:
@@ -281,8 +281,9 @@ def convex_roof_tangle(
     test met), and False when no restart ran; it does not mean that the
     bound is globally optimal.  Restarts stop early once the value drops
     to ``tol`` or below (the objective cannot go negative).
-    ``evaluations`` counts objective-and-gradient calls, the start
-    evaluations included; ``restart_log`` holds (start value, final value,
+    ``evaluations`` counts objective-and-gradient calls: the candidate
+    once, and each restart's start once, passed to ``_lbfgs`` as its first
+    evaluation; ``restart_log`` holds (start value, final value,
     status) per restart, with status 0 converged, 1 evaluation limit and
     2 line search failed.
     """
@@ -314,8 +315,8 @@ def convex_roof_tangle(
         if best_value <= tol:
             break
         x0 = rng.standard_normal(2 * m * r)
-        start_val = f_and_grad(x0)[0]
-        x, value, status = _lbfgs(f_and_grad, x0)
+        start_val, start_grad = f_and_grad(x0)
+        x, value, status = _lbfgs(f_and_grad, x0, start_val, start_grad)
         log.append((start_val, value, status))
         if value < best_value:
             best_value, best_x = value, x

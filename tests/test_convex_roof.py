@@ -174,7 +174,8 @@ def test_lbfgs_minimizes_a_convex_quadratic():
     def fun(x):
         return 0.5 * (x - c) @ A @ (x - c), A @ (x - c)
 
-    x, value, status = _lbfgs(fun, rng.standard_normal(k))
+    x0 = rng.standard_normal(k)
+    x, value, status = _lbfgs(fun, x0, *fun(x0))
     assert status == 0
     np.testing.assert_allclose(x, c, rtol=0, atol=1e-8)
     assert value == fun(x)[0]
@@ -187,7 +188,8 @@ def test_lbfgs_reports_its_limits():
         calls.append(1)
         return float(np.sum(x)), np.ones_like(x)
 
-    x, value, status = _lbfgs(unbounded, np.zeros(4))
+    x0 = np.zeros(4)
+    x, value, status = _lbfgs(unbounded, x0, *unbounded(x0))
     assert (status, len(calls)) == (1, oddtangle.convex_roof.LBFGS_MAX_EVALUATIONS)
     assert value == np.sum(x) < 0
 
@@ -195,7 +197,7 @@ def test_lbfgs_reports_its_limits():
         return float(x @ x), -x
 
     x0 = np.ones(4)
-    x, value, status = _lbfgs(wrong_gradient, x0)
+    x, value, status = _lbfgs(wrong_gradient, x0, *wrong_gradient(x0))
     assert status == 2
     assert value == 4.0 and np.array_equal(x, x0)
 
@@ -287,6 +289,21 @@ def test_roof_counts_every_evaluation(monkeypatch):
     assert min(final for _, final, _ in result.restart_log) == pytest.approx(
         result.value, abs=1e-12
     )
+
+
+def test_roof_evaluates_no_point_twice(monkeypatch):
+    points = []
+    inner = oddtangle.convex_roof._value_and_grad
+
+    def recorded(x, *args):
+        points.append(x.tobytes())
+        return inner(x, *args)
+
+    monkeypatch.setattr(oddtangle.convex_roof, "_value_and_grad", recorded)
+    rho = MixedState.from_ensemble(3, [(0.8, ghz(3)), (0.2, w(3))])
+    result = convex_roof_tangle(rho, restarts=3, seed=0)
+    assert result.restarts_used == 3 and result.evaluations == len(points)
+    assert len(points) - len(set(points)) == 0  # points evaluated more than once
 
 
 @pytest.mark.parametrize("seed", range(6))

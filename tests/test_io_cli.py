@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oddtangle
+import oddtangle.bench
 from oddtangle.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from oddtangle.convex_roof import MixedState
 from oddtangle.qstate import PureState
@@ -360,6 +362,81 @@ def test_cli_out_file(tmp_path):
     text = out_path.read_text()
     avg = float(text.splitlines()[-1].split()[1])
     assert avg == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--type", "ghz", "--n", "3"],
+        ["compute", "--state", "{g3}"],
+    ],
+    ids=["gen", "compute"],
+)
+def test_cli_unwritable_out_is_an_input_error(tmp_path, capsys, argv):
+    g3 = _gen(tmp_path, "g3.json", "--type", "ghz", "--n", "3")
+    out = str(tmp_path / "missing" / "o.txt")
+    assert main([a.format(g3=g3) for a in argv] + ["--out", out]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "slocc-check --n 3 --trials 0",
+        "slocc-check --n 3 --trials -2",
+        "perm-check --n 7 --trials 0",
+        "perm-check --n 7 --trials -1",
+        "bench --n-list 3 --repetitions 0",
+        "bench --n-list 3 --repetitions -1",
+    ],
+)
+def test_cli_count_below_one_is_an_input_error(capsys, command):
+    *_, flag, value = argv = command.split()
+    assert main(argv) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and flag.lstrip("-") in err
+    assert f"must be >= 1, got {value}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--state", "{r5}"],
+        ["compute", "--state", "{r5}", "--format", "csv"],
+        ["compute", "--state", "{r5}", "--format", "json"],
+        ["oracle", "--state", "{r3}"],
+        ["tangle3", "--state", "{r3}"],
+        ["residual", "--state", "{r5}"],
+        ["slocc-check", "--n", "3", "--trials", "2"],
+        ["perm-check", "--n", "3", "--tol", "-1"],
+        ["roof", "--density", "{rho}", "--restarts", "1"],
+        ["bench", "--n-list", "3", "--repetitions", "1"],
+        ["verify-all", "--quick"],
+        ["verify-all", "--quick", "--format", "json"],
+    ],
+    ids=[
+        "compute-text", "compute-csv", "compute-json", "oracle", "tangle3", "residual",
+        "slocc-check", "perm-check-failing", "roof", "bench", "verify-all-text",
+        "verify-all-json",
+    ],
+)
+def test_cli_out_gets_the_stdout_bytes(tmp_path, monkeypatch, capsysbinary, argv):
+    files = {
+        "r5": _gen(tmp_path, "r5.json", "--type", "random", "--n", "5", "--seed", "3"),
+        "r3": _gen(tmp_path, "r3.json", "--type", "random", "--n", "3", "--seed", "1"),
+        "rho": str(tmp_path / "rho.json"),
+    }
+    save_density(MixedState.from_ensemble(3, [(0.8, ghz(3)), (0.2, w(3))]), files["rho"])
+    # bench prints median wall times; a stopped clock makes two runs agree
+    monkeypatch.setattr(oddtangle.bench, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    argv = [a.format(**files) for a in argv]
+    code = main(argv)
+    stdout = capsysbinary.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == code
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == stdout != b""
 
 
 def test_cli_output_deterministic(tmp_path):
