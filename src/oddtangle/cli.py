@@ -37,7 +37,7 @@ from .slocc_ops import (
 )
 from .stategen import basis_product, ghz, random_pure, w
 from .three_tangle import ckw_tangle, ckw_terms
-from .verify import all_permutations, permutation_delta, verify_all
+from .verify import PERMUTATION_TOL, all_permutations, permutation_delta, verify_all
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -80,8 +80,9 @@ def _cmd_gen(args):
     else:
         if args.bits is None:
             raise StateFileError("basis states need --bits")
-        bits = [int(ch) for ch in args.bits]
-        state = basis_product(args.n, bits)
+        if not set(args.bits) <= set("01"):
+            raise ValueError(f"--bits must be a string of 0s and 1s, got {args.bits!r}")
+        state = basis_product(args.n, [int(ch) for ch in args.bits])
     try:
         save_state(state, args.out)
     except OSError as exc:
@@ -121,9 +122,9 @@ def _cmd_compute(args):
 def _cmd_oracle(args):
     state = load_state(args.state)
     if state.n % 2 == 0:
-        value = wong_tangle_naive(state, cap_override=args.cap_override)
+        value = wong_tangle_naive(state)
         return f"wong_tangle {_g(value)}\n", EXIT_OK
-    value = tangle_i_naive(state, args.qubit, cap_override=args.cap_override, full_sum=args.full_sum)
+    value = tangle_i_naive(state, args.qubit, full_sum=args.full_sum)
     return f"tau_{args.qubit}_oracle {_g(value)}\n", EXIT_OK
 
 
@@ -167,10 +168,10 @@ def _cmd_slocc_check(args):
         state = random_pure(args.n, seed=args.seed + 2 * t)
         if args.unitary:
             chain = random_local_unitary(args.n, seed=args.seed + 2 * t + 1)
-            verdict = verify_lu_invariance(state, chain, tol=args.tol)
+            verdict = verify_lu_invariance(state, chain)
         else:
             chain = random_local_invertible(args.n, seed=args.seed + 2 * t + 1)
-            verdict = verify_slocc_equation(state, chain, tol=args.tol)
+            verdict = verify_slocc_equation(state, chain)
         all_pass &= verdict.passed
         rows.append([t, _g(verdict.lhs), _g(verdict.rhs), _g(verdict.rel_error), verdict.passed])
     text = _csv(["trial", "lhs", "rhs", "rel_error", "passed"], rows)
@@ -186,9 +187,9 @@ def _cmd_perm_check(args):
         rng = np.random.default_rng(args.seed)
         perms = [QubitPermutation(1 + rng.permutation(state.n)) for _ in range(args.trials)]
     worst = permutation_delta(state, perms)
-    ok = worst <= args.tol
+    ok = worst <= PERMUTATION_TOL
     text = (
-        f"permutations {len(perms)} worst_delta {_g(worst)} tol {_g(args.tol)} "
+        f"permutations {len(perms)} worst_delta {_g(worst)} tol {_g(PERMUTATION_TOL)} "
         f"{'PASS' if ok else 'FAIL'}\n"
     )
     return text, EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -196,9 +197,7 @@ def _cmd_perm_check(args):
 
 def _cmd_roof(args):
     rho = load_density(args.density)
-    result = convex_roof_tangle(
-        rho, m_max=args.m_max, restarts=args.restarts, seed=args.seed, tol=args.tol
-    )
+    result = convex_roof_tangle(rho, m_max=args.m_max, restarts=args.restarts, seed=args.seed)
     lines = [
         f"value {_g(result.value)}",
         f"restarts {result.restarts_used} converged {result.converged}",
@@ -212,7 +211,11 @@ def _cmd_roof(args):
 
 
 def _cmd_bench(args):
-    n_list = [int(x) for x in args.n_list.split(",")]
+    try:
+        n_list = [int(x) for x in args.n_list.split(",")]
+    except ValueError:
+        msg = f"--n-list must be comma-separated integers, got {args.n_list!r}"
+        raise ValueError(msg) from None
     sweep = bench_mod.timing_sweep(n_list, repetitions=args.repetitions, seed=args.seed)
     header = ["n", "method", "mult_count", "paper_count", "median_seconds"]
     rows = ([r.n, r.method, r.mult_count, r.paper_count, _g(r.median_seconds)] for r in sweep)
@@ -256,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--qubit", type=int, default=1)
     p.add_argument("--full-sum", action="store_true", dest="full_sum")
-    p.add_argument("--cap-override", action="store_true", dest="cap_override")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("tangle3", help="3-qubit formula comparison")
@@ -271,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--unitary", action="store_true")
     p.set_defaults(func=_cmd_slocc_check)
 
@@ -280,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_perm_check)
 
     p = sub.add_parser("roof", help="convex-roof upper bound for a mixed state")
@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, dest="m_max")
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_roof)
 
     p = sub.add_parser("bench", help="multiplication counts and timings")

@@ -26,6 +26,8 @@ RANK_EIG_CUTOFF = 1e-10
 # Hermiticity, trace and eigenvalue slack of a MixedState matrix
 DENSITY_TOL = 1e-10
 ZERO_WEIGHT_CUTOFF = 1e-12
+# restarts stop once the best value is at or below this (the roof is >= 0)
+ROOF_ZERO_TOL = 1e-9
 # adj [[a, b], [c, d]] = [[d, -b], [-c, a]]: the flipped transpose times these
 _ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 # L-BFGS settings; the stopping tests and the two limits are L-BFGS-B's
@@ -264,7 +266,6 @@ def convex_roof_tangle(
     m_max: int | None = None,
     restarts: int = 32,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> RoofResult:
     """Minimize the ensemble-averaged tangle over decompositions of rho.
 
@@ -280,7 +281,7 @@ def convex_roof_tangle(
     restart with the lowest final value ended with status 0 (a convergence
     test met), and False when no restart ran; it does not mean that the
     bound is globally optimal.  Restarts stop early once the value drops
-    to ``tol`` or below (the objective cannot go negative).
+    to ROOF_ZERO_TOL = 1e-9 or below (the objective cannot go negative).
     ``evaluations`` counts objective-and-gradient calls: the candidate
     once, and each restart's start once, passed to ``_lbfgs`` as its first
     evaluation; ``restart_log`` holds (start value, final value,
@@ -312,7 +313,7 @@ def convex_roof_tangle(
     best_value = f_and_grad(best_x)[0]
     log = []
     for _ in range(restarts):
-        if best_value <= tol:
+        if best_value <= ROOF_ZERO_TOL:
             break
         x0 = rng.standard_normal(2 * m * r)
         start_val, start_grad = f_and_grad(x0)

@@ -33,26 +33,6 @@ class StateFileError(ValueError):
     """Malformed or inconsistent state/density file."""
 
 
-def state_to_dict(state: PureState) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "state",
-        "n": state.n,
-        "amplitudes": [[a.real, a.imag] for a in state.amps],
-    }
-
-
-def density_to_dict(rho: MixedState) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "density",
-        "n": rho.n,
-        "matrix": [
-            [[v.real, v.imag] for v in row] for row in rho.matrix
-        ],
-    }
-
-
 def _pairs(raw, shape: tuple, where: str) -> np.ndarray:
     """Complex array of `shape` from nested lists of JSON [re, im] pairs,
     each entry bit for bit complex(re, im), signed zeros included."""
@@ -100,14 +80,21 @@ def _load(path: str, kind: str, key: str, ndim: int, make):
         raise StateFileError(f"{path}: {exc}") from exc
 
 
+def _save(path: str, kind: str, key: str, n: int, values: np.ndarray) -> None:
+    """Write values (2**n x ... complex) as the `key` of a `kind` file,
+    each entry a [re, im] pair of floats."""
+    pairs = values.view(np.float64).reshape(values.shape + (2,)).tolist()
+    with open(path, "w") as fh:
+        json.dump({"format_version": FORMAT_VERSION, "kind": kind, "n": n, key: pairs}, fh)
+        fh.write("\n")
+
+
 def load_state(path: str) -> PureState:
     return _load(path, "state", "amplitudes", 1, PureState)
 
 
 def save_state(state: PureState, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_dict(state), fh)
-        fh.write("\n")
+    _save(path, "state", "amplitudes", state.n, state.amps)
 
 
 def load_density(path: str) -> MixedState:
@@ -115,6 +102,4 @@ def load_density(path: str) -> MixedState:
 
 
 def save_density(rho: MixedState, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(density_to_dict(rho), fh)
-        fh.write("\n")
+    _save(path, "density", "matrix", rho.n, rho.matrix)

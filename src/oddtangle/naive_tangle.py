@@ -15,8 +15,8 @@ import numpy as np
 from .qstate import PureState, QubitPermutation, permute_qubits
 from .stategen import random_pure
 
-DEFAULT_CAP = 5
-HARD_CAP = 7
+# largest n the oracle evaluates (2**(2n) terms per qubit); no caller can raise it
+ORACLE_MAX_QUBITS = 7
 # smallest change of the forced even-n formula counted as a witness
 WITNESS_THRESHOLD = 1e-6
 
@@ -28,13 +28,9 @@ def epsilon(a: int, b: int) -> int:
     return b - a
 
 
-def _check_cap(n: int, cap_override: bool) -> None:
-    limit = HARD_CAP if cap_override else DEFAULT_CAP
-    if n > limit:
-        raise ValueError(
-            f"n={n} exceeds the oracle cap {limit}"
-            + ("" if cap_override else " (pass cap_override=True up to 7)")
-        )
+def _check_size(n: int) -> None:
+    if n > ORACLE_MAX_QUBITS:
+        raise ValueError(f"n={n} exceeds the oracle limit of {ORACLE_MAX_QUBITS} qubits")
 
 
 def _w_pattern_pruned(amps, n: int, i: int, counter=None) -> complex:
@@ -119,14 +115,9 @@ def _w_pattern_literal(amps, n: int, i: int, counter=None) -> complex:
     return total
 
 
-def tangle_i_naive(
-    state: PureState,
-    i: int,
-    cap_override: bool = False,
-    full_sum: bool = False,
-    counter=None,
-) -> float:
-    """Tangle with respect to qubit i by the defining quadruple sum: 2|W^(i)|."""
+def tangle_i_naive(state: PureState, i: int, full_sum: bool = False, counter=None) -> float:
+    """Tangle with respect to qubit i by the defining quadruple sum: 2|W^(i)|,
+    for odd n from 3 to ORACLE_MAX_QUBITS."""
     n = state.n
     if n % 2 == 0:
         raise ValueError(f"n={n} is even; use wong_tangle_naive")
@@ -134,22 +125,17 @@ def tangle_i_naive(
         raise ValueError("tangles need n >= 3")
     if not 1 <= i <= n:
         raise ValueError(f"qubit {i} out of range 1..{n}")
-    _check_cap(n, cap_override)
+    _check_size(n)
     kernel = _w_pattern_literal if full_sum else _w_pattern_pruned
     return 2.0 * abs(kernel(state.amps, n, i, counter))
 
 
-def wong_tangle_naive(
-    state: PureState,
-    cap_override: bool = False,
-    force: bool = False,
-    counter=None,
-) -> float:
+def wong_tangle_naive(state: PureState, force: bool = False) -> float:
     """Even-n tangle (the pattern that pairs qubits 1..n-1 and links qubit n).
 
-    Defined for even n and for n=3.  For odd n > 3 the value is not
-    permutation invariant; ``force=True`` evaluates the formula anyway so
-    the non-invariance can be witnessed.
+    Defined for even n and for n=3, up to ORACLE_MAX_QUBITS.  For odd n > 3
+    the value is not permutation invariant; ``force=True`` evaluates the
+    formula anyway so the non-invariance can be witnessed.
     """
     n = state.n
     if n % 2 == 1 and n > 3 and not force:
@@ -159,8 +145,8 @@ def wong_tangle_naive(
         )
     if n < 2:
         raise ValueError("tangles need n >= 2")
-    _check_cap(n, cap_override)
-    return 2.0 * abs(_w_pattern_pruned(state.amps, n, n, counter))
+    _check_size(n)
+    return 2.0 * abs(_w_pattern_pruned(state.amps, n, n))
 
 
 def find_noninvariance_witness(n: int, trials: int = 100, seed: int = 0):
@@ -168,8 +154,10 @@ def find_noninvariance_witness(n: int, trials: int = 100, seed: int = 0):
     changes under the permutation.  Returns (state, permutation, before,
     after) or None if nothing exceeds WITNESS_THRESHOLD in `trials` attempts.
     """
-    if n % 2 == 0 or not 3 < n <= DEFAULT_CAP:
-        raise ValueError(f"witness search needs odd n with 3 < n <= {DEFAULT_CAP}, got n={n}")
+    if n % 2 == 0 or not 3 < n <= ORACLE_MAX_QUBITS:
+        raise ValueError(
+            f"witness search needs odd n with 3 < n <= {ORACLE_MAX_QUBITS}, got n={n}"
+        )
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         state = random_pure(n, seed=int(rng.integers(0, 2**31)))

@@ -11,6 +11,9 @@ from .fast_tangle import n_tangle
 from .qstate import LocalOperatorChain, PureState, apply_local_operators
 from .residual_forms import residual_tau
 
+# largest relative error the SLOCC scaling law and LU invariance checks pass
+SLOCC_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SloccVerdict:
@@ -18,11 +21,6 @@ class SloccVerdict:
     rhs: float
     rel_error: float
     passed: bool
-
-
-def _verdict(lhs: float, rhs: float, tol: float) -> SloccVerdict:
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    return SloccVerdict(lhs=lhs, rhs=rhs, rel_error=rel, passed=rel <= tol)
 
 
 def random_local_invertible(n: int, seed: int) -> LocalOperatorChain:
@@ -53,41 +51,27 @@ def random_local_unitary(n: int, seed: int) -> LocalOperatorChain:
     return LocalOperatorChain(ops)
 
 
-def verify_slocc_equation(
-    state: PureState,
-    chain: LocalOperatorChain,
-    tol: float = 1e-9,
-    normalize: bool = False,
-) -> SloccVerdict:
-    """Check tau(psi') = tau(psi) * prod_k |det op_k|^2 for psi' = chain(psi).
+def verify_slocc_equation(state: PureState, chain: LocalOperatorChain) -> SloccVerdict:
+    """Check tau(psi') = tau(psi) * prod_k |det op_k|^2 for psi' = chain(psi),
+    passing when the relative error is at most SLOCC_TOL.
 
     The image is deliberately NOT renormalized: the scaling law is a
-    statement about the degree-4 homogeneous polynomial.  ``normalize=True``
-    instead compares the tangles of both states after normalization (the
-    determinant factor then cancels against the norm change).
+    statement about the degree-4 homogeneous polynomial.
     """
     if state.n % 2 == 0 or state.n < 3:
         raise ValueError(f"need odd n >= 3, got n={state.n}")
     chain.assert_invertible()
-    image = apply_local_operators(state, chain)
-    if normalize:
-        lhs = residual_tau(image.normalized())
-        rhs = residual_tau(state.normalized()) * (
-            chain.abs_det_sq_product()
-            * (state.squared_norm() / image.squared_norm()) ** 2
-        )
-    else:
-        lhs = residual_tau(image)
-        rhs = residual_tau(state) * chain.abs_det_sq_product()
-    return _verdict(lhs, rhs, tol)
+    lhs = residual_tau(apply_local_operators(state, chain))
+    rhs = residual_tau(state) * chain.abs_det_sq_product()
+    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    return SloccVerdict(lhs=lhs, rhs=rhs, rel_error=rel, passed=rel <= SLOCC_TOL)
 
 
-def verify_lu_invariance(
-    state: PureState, chain: LocalOperatorChain, tol: float = 1e-9
-) -> SloccVerdict:
+def verify_lu_invariance(state: PureState, chain: LocalOperatorChain) -> SloccVerdict:
     """Check that local unitaries preserve every per-qubit tangle and the
     average.  Reported lhs/rhs are the averages; rel_error is the worst
-    deviation across all per-qubit entries and the average."""
+    deviation across all per-qubit entries and the average, each relative
+    to max(1, value), and the check passes when it is at most SLOCC_TOL."""
     if not chain.is_unitary():
         raise ValueError("chain is not unitary within tolerance")
     before = n_tangle(state)
@@ -98,7 +82,7 @@ def verify_lu_invariance(
     for x, y in zip(before.per_qubit, after.per_qubit):
         worst = max(worst, abs(x - y) / max(abs(x), abs(y), 1.0))
     return SloccVerdict(
-        lhs=after.average, rhs=before.average, rel_error=worst, passed=worst <= tol
+        lhs=after.average, rhs=before.average, rel_error=worst, passed=worst <= SLOCC_TOL
     )
 
 

@@ -201,8 +201,10 @@ def test_cli_oracle_even_n_uses_wong(tmp_path, capsys):
 
 def test_cli_oracle_cap(tmp_path, capsys):
     path = _gen(tmp_path, "r7.json", "--type", "random", "--n", "7", "--seed", "0")
+    assert main(["oracle", "--state", path]) == EXIT_OK
+    path = _gen(tmp_path, "r9.json", "--type", "random", "--n", "9", "--seed", "0")
     assert main(["oracle", "--state", path]) == EXIT_INPUT_ERROR
-    assert main(["oracle", "--state", path, "--cap-override"]) == EXIT_OK
+    assert "oracle limit of 7 qubits" in capsys.readouterr().err
 
 
 def test_cli_tangle3(tmp_path, capsys):
@@ -259,6 +261,14 @@ def test_cli_perm_check_from_file(tmp_path, capsys):
     path = _gen(tmp_path, "r.json", "--type", "random", "--n", "7", "--seed", "2")
     assert main(["perm-check", "--state", path, "--trials", "5"]) == EXIT_OK
     assert "permutations 5" in capsys.readouterr().out
+
+
+def test_cli_perm_check_scales_with_the_state(tmp_path, capsys):
+    # an unnormalized state: the tangle grows as the fourth power of the scale
+    path = str(tmp_path / "r100.json")
+    save_state(random_pure(5, seed=3).scaled(100.0), path)
+    assert main(["perm-check", "--state", path]) == EXIT_OK
+    assert capsys.readouterr().out.endswith(" tol 1e-10 PASS\n")
 
 
 def test_cli_roof(tmp_path, capsys):
@@ -400,6 +410,51 @@ def test_cli_count_below_one_is_an_input_error(capsys, command):
 
 
 @pytest.mark.parametrize(
+    "command, message",
+    [
+        ("gen --type basis --n 3 --bits 0a0", "--bits must be a string of 0s and 1s, got '0a0'"),
+        ("gen --type basis --n 3 --bits 0-1", "--bits must be a string of 0s and 1s, got '0-1'"),
+        ("bench --n-list 3,x", "--n-list must be comma-separated integers, got '3,x'"),
+        ("bench --n-list 3,,5", "--n-list must be comma-separated integers, got '3,,5'"),
+    ],
+)
+def test_cli_unparsable_value_names_its_flag(tmp_path, capsys, command, message):
+    # gen needs --out; the parse fails before anything is written there
+    assert main(command.split() + ["--out", str(tmp_path / "out")]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "oracle --state s.json --cap-override",
+        "slocc-check --n 3 --tol 1",
+        "perm-check --n 3 --tol 1",
+        "roof --density rho.json --tol 1",
+    ],
+)
+def test_cli_has_no_limit_or_tolerance_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("oddtangle ")]
+    assert commands, "no oddtangle lines in the README's CLI block"
+    monkeypatch.chdir(tmp_path)
+    # the two input files the block names but does not write
+    save_state(random_pure(3, seed=0), "some3qubit.json")
+    save_density(MixedState.from_ensemble(3, [(0.8, ghz(3)), (0.2, w(3))]), "rho.json")
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["compute", "--state", "{r5}"],
@@ -409,7 +464,7 @@ def test_cli_count_below_one_is_an_input_error(capsys, command):
         ["tangle3", "--state", "{r3}"],
         ["residual", "--state", "{r5}"],
         ["slocc-check", "--n", "3", "--trials", "2"],
-        ["perm-check", "--n", "3", "--tol", "-1"],
+        ["perm-check", "--n", "3"],
         ["roof", "--density", "{rho}", "--restarts", "1"],
         ["bench", "--n-list", "3", "--repetitions", "1"],
         ["verify-all", "--quick"],
@@ -430,6 +485,8 @@ def test_cli_out_gets_the_stdout_bytes(tmp_path, monkeypatch, capsysbinary, argv
     save_density(MixedState.from_ensemble(3, [(0.8, ghz(3)), (0.2, w(3))]), files["rho"])
     # bench prints median wall times; a stopped clock makes two runs agree
     monkeypatch.setattr(oddtangle.bench, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    # a tolerance below every delta makes perm-check fail, so exit 1 is covered
+    monkeypatch.setattr(oddtangle.cli, "PERMUTATION_TOL", -1.0)
     argv = [a.format(**files) for a in argv]
     code = main(argv)
     stdout = capsysbinary.readouterr().out

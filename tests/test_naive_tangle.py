@@ -55,10 +55,10 @@ def test_rejects_even_n():
 
 def test_rejects_n_above_cap():
     with pytest.raises(ValueError):
-        tangle_i_naive(random_pure(7, 0), 1)
-    # explicit override allows n=7
+        tangle_i_naive(random_pure(9, 0), 1)
+    # n=7 is the largest size the oracle evaluates
     s = basis_product(7, (0,) * 7)
-    assert tangle_i_naive(s, 1, cap_override=True) == pytest.approx(0.0, abs=1e-15)
+    assert tangle_i_naive(s, 1) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_partial_permutation_invariance_n5():
@@ -115,8 +115,8 @@ def test_witness_search_preconditions():
         find_noninvariance_witness(3)
     with pytest.raises(ValueError):
         find_noninvariance_witness(4)
-    with pytest.raises(ValueError, match="n <= 5"):
-        find_noninvariance_witness(7)  # above the oracle cap, which it cannot override
+    with pytest.raises(ValueError, match="n <= 7"):
+        find_noninvariance_witness(9)  # above the oracle limit
 
 
 def test_witness_found_at_n5():

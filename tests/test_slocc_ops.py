@@ -53,13 +53,6 @@ def test_slocc_equation_random():
             assert verdict.rel_error <= 1e-9
 
 
-def test_slocc_equation_normalized_mode():
-    s = random_pure(5, seed=9)
-    chain = random_local_invertible(5, seed=9)
-    verdict = verify_slocc_equation(s, chain, normalize=True)
-    assert verdict.passed
-
-
 def test_special_linear_preserves_tangle():
     # det = 1 on every qubit leaves the tangle of the image unchanged
     rng = np.random.default_rng(3)
