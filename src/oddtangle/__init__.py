@@ -4,7 +4,6 @@ to mixed states."""
 
 from .bench import OpCounter, count_fast_path, count_naive_path, timing_sweep
 from .convex_roof import (
-    Decomposition,
     MixedState,
     RoofResult,
     convex_roof_tangle,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import naive_tangle
 from .fast_tangle import tangle_1_fast
-from .qstate import PureState
+from .qstate import PureState, check_odd_n
 from .stategen import random_pure
 
 
@@ -74,8 +74,7 @@ def timing_sweep(n_list, repetitions: int = 5, seed: int = 0):
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     rows = []
     for n in n_list:
-        if n % 2 == 0 or n < 3:
-            raise ValueError(f"need odd n >= 3, got {n}")
+        check_odd_n(n)
         state = random_pure(n, seed=seed + n)
         fast_times = []
         for _ in range(repetitions):

@@ -122,10 +122,14 @@ def _cmd_compute(args):
 def _cmd_oracle(args):
     state = load_state(args.state)
     if state.n % 2 == 0:
+        for flag, given in (("--qubit", args.qubit is not None), ("--full-sum", args.full_sum)):
+            if given:
+                raise ValueError(f"{flag} applies only to odd n, got n={state.n}")
         value = wong_tangle_naive(state)
         return f"wong_tangle {_g(value)}\n", EXIT_OK
-    value = tangle_i_naive(state, args.qubit, full_sum=args.full_sum)
-    return f"tau_{args.qubit}_oracle {_g(value)}\n", EXIT_OK
+    qubit = 1 if args.qubit is None else args.qubit
+    value = tangle_i_naive(state, qubit, full_sum=args.full_sum)
+    return f"tau_{qubit}_oracle {_g(value)}\n", EXIT_OK
 
 
 def _cmd_tangle3(args):
@@ -197,14 +201,14 @@ def _cmd_perm_check(args):
 
 def _cmd_roof(args):
     rho = load_density(args.density)
-    result = convex_roof_tangle(rho, m_max=args.m_max, restarts=args.restarts, seed=args.seed)
+    result = convex_roof_tangle(rho, restarts=args.restarts, seed=args.seed)
     lines = [
         f"value {_g(result.value)}",
         f"restarts {result.restarts_used} converged {result.converged}",
         f"evaluations {result.evaluations}",
-        f"members {len(result.best.members)}",
+        f"members {len(result.best)}",
     ]
-    for k, (p, psi) in enumerate(result.best.members):
+    for k, (p, psi) in enumerate(result.best):
         amps = " ".join(_c(v) for v in psi.amps)
         lines.append(f"member {k} weight {_g(p)} amplitudes {amps}")
     return "\n".join(lines) + "\n", EXIT_OK
@@ -257,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force tangle evaluation")
     p.add_argument("--state", required=True)
-    p.add_argument("--qubit", type=int, default=1)
+    p.add_argument("--qubit", type=int)  # 1 at odd n; not allowed at even n
     p.add_argument("--full-sum", action="store_true", dest="full_sum")
     p.set_defaults(func=_cmd_oracle)
 
@@ -285,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roof", help="convex-roof upper bound for a mixed state")
     p.add_argument("--density", required=True)
-    p.add_argument("--m-max", type=int, dest="m_max")
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_roof)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fast_tangle import n_tangle
-from .qstate import PureState
+from .qstate import PureState, check_odd_n
 
 RANK_EIG_CUTOFF = 1e-10
 # Hermiticity, trace and eigenvalue slack of a MixedState matrix
@@ -41,9 +41,10 @@ LBFGS_MAX_HALVINGS = 20
 
 
 class MixedState:
-    """Hermitian, PSD, unit-trace matrix on n qubits."""
+    """Hermitian, PSD, unit-trace matrix on n qubits, with its support: the
+    eigenpairs above RANK_EIG_CUTOFF, solved for once, at construction."""
 
-    __slots__ = ("n", "matrix")
+    __slots__ = ("n", "matrix", "_support")
 
     def __init__(self, n: int, matrix):
         if n < 1:
@@ -52,53 +53,47 @@ class MixedState:
         dim = 2**n
         if m.shape != (dim, dim):
             raise ValueError(f"matrix must be {dim}x{dim} for n={n}, got {m.shape}")
+        if not np.all(np.isfinite(m.view(np.float64))):
+            raise ValueError("matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > DENSITY_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > DENSITY_TOL or abs(np.trace(m).imag) > DENSITY_TOL:
             raise ValueError("matrix trace must be 1 within tolerance")
-        if np.min(np.linalg.eigvalsh(m)) < -DENSITY_TOL:
+        vals, vecs = np.linalg.eigh(m)
+        if np.min(vals) < -DENSITY_TOL:
             raise ValueError("matrix has a negative eigenvalue beyond tolerance")
-        m.setflags(write=False)
-        self.n = n
-        self.matrix = m
-
-    @staticmethod
-    def from_ensemble(n: int, members) -> "MixedState":
-        dim = 2**n
-        rho = np.zeros((dim, dim), dtype=np.complex128)
-        for p, psi in members:
-            v = psi.amps if isinstance(psi, PureState) else np.asarray(psi)
-            rho += p * np.outer(v, v.conj())
-        return MixedState(n, rho)
-
-    def eigensystem(self):
-        """Eigenpairs above the rank cutoff, largest eigenvalue first."""
-        vals, vecs = np.linalg.eigh(self.matrix)
         order = np.argsort(vals)[::-1]
         vals, vecs = vals[order], vecs[:, order]
         keep = vals > RANK_EIG_CUTOFF
-        return vals[keep], vecs[:, keep]
+        support = vals[keep], vecs[:, keep]
+        for a in (m, *support):
+            a.setflags(write=False)
+        self.n = n
+        self.matrix = m
+        self._support = support
 
-    def rank(self) -> int:
-        return int(np.sum(np.linalg.eigvalsh(self.matrix) > RANK_EIG_CUTOFF))
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    members: tuple  # of (weight, PureState)
-
-    def reconstruction(self, n: int) -> np.ndarray:
+    @staticmethod
+    def from_ensemble(n: int, members) -> "MixedState":
+        """sum_k p_k |psi_k><psi_k| over (weight, PureState) pairs."""
         dim = 2**n
         rho = np.zeros((dim, dim), dtype=np.complex128)
-        for p, psi in self.members:
+        for p, psi in members:
             rho += p * np.outer(psi.amps, psi.amps.conj())
-        return rho
+        return MixedState(n, rho)
+
+    def eigensystem(self):
+        """Eigenpairs above the rank cutoff, largest eigenvalue first
+        (read-only arrays)."""
+        return self._support
+
+    def rank(self) -> int:
+        return self._support[0].size
 
 
 @dataclass(frozen=True)
 class RoofResult:
     value: float
-    best: Decomposition
+    best: tuple  # of (weight, PureState), as decomposition_from_isometry
     restarts_used: int
     converged: bool
     evaluations: int
@@ -106,20 +101,26 @@ class RoofResult:
     # converged, 1 evaluation limit, 2 line search failed (see _lbfgs)
 
 
+def _scaled_basis(rho: MixedState) -> np.ndarray:
+    """Rows sqrt(lam_j) e_j over the support of rho."""
+    vals, vecs = rho.eigensystem()
+    return (vecs * np.sqrt(vals)).T
+
+
 def _scaled_vectors(rho: MixedState, V: np.ndarray) -> np.ndarray:
     """Rows w_i = sum_j V[i,j] sqrt(lam_j) e_j; each w_i is sqrt(p_i) psi_i."""
-    vals, vecs = rho.eigensystem()
-    r = vals.size
+    scaled = _scaled_basis(rho)
+    r = scaled.shape[0]
     V = np.asarray(V, dtype=np.complex128)
     if V.ndim != 2 or V.shape[1] != r or V.shape[0] < r:
         raise ValueError(f"isometry must be m x {r} with m >= {r}, got {V.shape}")
     if np.max(np.abs(V.conj().T @ V - np.eye(r))) > 1e-8:
         raise ValueError("V is not an isometry within tolerance")
-    return V @ (vecs * np.sqrt(vals)).T
+    return V @ scaled
 
 
-def decomposition_from_isometry(rho: MixedState, V: np.ndarray) -> Decomposition:
-    """Decomposition {(p_i, psi_i)} from an m x r isometry over the
+def decomposition_from_isometry(rho: MixedState, V: np.ndarray) -> tuple:
+    """The (p_i, PureState psi_i) pairs from an m x r isometry over the
     eigenpairs of rho; members below the zero-weight cutoff are dropped."""
     W = _scaled_vectors(rho, V)
     members = []
@@ -128,7 +129,7 @@ def decomposition_from_isometry(rho: MixedState, V: np.ndarray) -> Decomposition
         if p < ZERO_WEIGHT_CUTOFF:
             continue
         members.append((p, PureState(rho.n, w / math.sqrt(p))))
-    return Decomposition(tuple(members))
+    return tuple(members)
 
 
 def _objective(n: int, W: np.ndarray):
@@ -261,16 +262,13 @@ def _lbfgs(fun, x: np.ndarray, f: float, g: np.ndarray):
     return x, f, 0
 
 
-def convex_roof_tangle(
-    rho: MixedState,
-    m_max: int | None = None,
-    restarts: int = 32,
-    seed: int = 0,
-) -> RoofResult:
-    """Minimize the ensemble-averaged tangle over decompositions of rho.
+def convex_roof_tangle(rho: MixedState, *, restarts: int = 32, seed: int = 0) -> RoofResult:
+    """Minimize the ensemble-averaged tangle over the decompositions of rho
+    into m = r + 2 members, r the rank of rho.
 
-    The eigendecomposition is evaluated first as a candidate.  Then each
-    of ``restarts`` restarts runs ``_lbfgs`` with the exact gradient from
+    The eigendecomposition, which rho holds from its construction, is
+    evaluated first as a candidate.  Then each of ``restarts`` restarts
+    runs ``_lbfgs`` with the exact gradient from
     ``rng.standard_normal(2*m*r)`` (rng seeded by ``seed``), over the polar
     isometry of those parameters: L-BFGS with memory 10 and Armijo
     backtracking, until its convergence tests (ftol 1e-12, gtol 1e-8) or
@@ -288,17 +286,13 @@ def convex_roof_tangle(
     status) per restart, with status 0 converged, 1 evaluation limit and
     2 line search failed.
     """
-    if rho.n % 2 == 0 or rho.n < 3:
-        raise ValueError(f"roof needs odd n >= 3, got n={rho.n}")
+    check_odd_n(rho.n)
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
-    vals, vecs = rho.eigensystem()
-    r = vals.size
-    m = m_max if m_max is not None else r + 2
-    if m < r:
-        raise ValueError(f"m_max={m} below rank {r}")
+    scaled = _scaled_basis(rho)
+    r = scaled.shape[0]
+    m = r + 2
     rng = np.random.default_rng(seed)
-    scaled = (vecs * np.sqrt(vals)).T  # rows sqrt(lam_j) e_j
     evaluations = 0
 
     def f_and_grad(x: np.ndarray):
@@ -324,7 +318,7 @@ def convex_roof_tangle(
     best = decomposition_from_isometry(rho, _polar(best_x, m, r)[3])
     # report the value recomputed from the returned decomposition so the
     # two stay consistent to the last bit
-    value = float(sum(p * n_tangle(psi).average for p, psi in best.members))
+    value = float(sum(p * n_tangle(psi).average for p, psi in best))
     return RoofResult(
         value=value,
         best=best,

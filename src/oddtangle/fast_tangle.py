@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import PureState, QubitPermutation, permute_qubits
+from .qstate import PureState, QubitPermutation, check_odd_n, check_qubit_index, permute_qubits
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,6 @@ def _tau(tpq: TPQ) -> float:
     return 4.0 * abs(tpq.T * tpq.T - tpq.P * tpq.Q)
 
 
-def _require_odd(n: int) -> None:
-    if n % 2 == 0 or n < 3:
-        raise ValueError(f"tangle formulas need odd n >= 3, got n={n}")
-
-
 def _transposed(state: PureState, i: int) -> PureState:
     """The state with qubits 1 and i exchanged: its qubit-1 sums are the
     sums for qubit i of the input."""
@@ -101,15 +96,14 @@ def tangle_1_fast(state: PureState, counter=None) -> float:
 
 def tangle_i_fast(state: PureState, i: int, counter=None) -> float:
     """Tangle with respect to qubit i (1-based)."""
-    _require_odd(state.n)
-    if not 1 <= i <= state.n:
-        raise ValueError(f"qubit {i} out of range 1..{state.n}")
+    check_odd_n(state.n)
+    check_qubit_index(state.n, i)
     return _tau(compute_TPQ(_transposed(state, i), counter))
 
 
 def n_tangle(state: PureState) -> TangleReport:
     """All per-qubit tangles and their arithmetic mean."""
-    _require_odd(state.n)
+    check_odd_n(state.n)
     n = state.n
     tpqs = tuple(compute_TPQ(_transposed(state, i)) for i in range(1, n + 1))
     per_qubit = tuple(_tau(t) for t in tpqs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qstate import PureState, QubitPermutation, permute_qubits
+from .qstate import PureState, QubitPermutation, check_odd_n, check_qubit_index, permute_qubits
 from .stategen import random_pure
 
 # largest n the oracle evaluates (2**(2n) terms per qubit); no caller can raise it
@@ -121,10 +121,8 @@ def tangle_i_naive(state: PureState, i: int, full_sum: bool = False, counter=Non
     n = state.n
     if n % 2 == 0:
         raise ValueError(f"n={n} is even; use wong_tangle_naive")
-    if n < 3:
-        raise ValueError("tangles need n >= 3")
-    if not 1 <= i <= n:
-        raise ValueError(f"qubit {i} out of range 1..{n}")
+    check_odd_n(n)
+    check_qubit_index(n, i)
     _check_size(n)
     kernel = _w_pattern_literal if full_sum else _w_pattern_pruned
     return 2.0 * abs(kernel(state.amps, n, i, counter))

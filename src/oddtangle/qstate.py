@@ -27,6 +27,19 @@ def check_qubit_count(n: int) -> None:
         raise ValueError(f"{n} qubits exceed the limit of MAX_QUBITS={MAX_QUBITS}")
 
 
+def check_odd_n(n: int) -> None:
+    """Raise ValueError unless n is odd and at least 3, where the tangle
+    formulas are defined."""
+    if n % 2 == 0 or n < 3:
+        raise ValueError(f"need odd n >= 3, got n={n}")
+
+
+def check_qubit_index(n: int, i: int) -> None:
+    """Raise ValueError unless i names one of qubits 1..n."""
+    if not 1 <= i <= n:
+        raise ValueError(f"qubit {i} out of range 1..{n}")
+
+
 class PureState:
     """Complex amplitude vector of length 2**n.
 
@@ -212,8 +225,7 @@ def apply_local_operators(state: PureState, chain: LocalOperatorChain) -> PureSt
 
 def reduced_density_single(state: PureState, qubit: int) -> np.ndarray:
     """Single-qubit reduced density matrix (partial trace over the rest)."""
-    if not 1 <= qubit <= state.n:
-        raise ValueError(f"qubit {qubit} out of range 1..{state.n}")
+    check_qubit_index(state.n, qubit)
     if not state.is_normalized():
         raise ValueError(
             f"state is not normalized (|norm^2 - 1| > {DEFAULT_NORM_TOL:g})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qstate import PureState
+from .qstate import PureState, check_odd_n
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,9 @@ def _parity_signs(count: int):
     return tuple(-1 if i.bit_count() & 1 else 1 for i in range(count))
 
 
-def _require_odd(n: int) -> None:
-    if n % 2 == 0 or n < 3:
-        raise ValueError(f"residual forms need odd n >= 3, got n={n}")
-
-
 def residual_parts_defining(state: PureState) -> ResidualParts:
     """The three sums exactly as defined (at n=3 each has a single term)."""
-    _require_odd(state.n)
+    check_odd_n(state.n)
     n = state.n
     a = state.amps.tolist()
     dim = 1 << n
@@ -65,7 +60,7 @@ def residual_parts_defining(state: PureState) -> ResidualParts:
 def residual_parts_reduced(state: PureState) -> ResidualParts:
     """Single-sum reductions: full-complement pairing for I_bar, even-index
     pairings over 2**(n-2) terms for the starred sums."""
-    _require_odd(state.n)
+    check_odd_n(state.n)
     n = state.n
     a = state.amps.tolist()
     dim = 1 << n

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fast_tangle import n_tangle
-from .qstate import LocalOperatorChain, PureState, apply_local_operators
+from .qstate import LocalOperatorChain, PureState, apply_local_operators, check_odd_n
 from .residual_forms import residual_tau
 
 # largest relative error the SLOCC scaling law and LU invariance checks pass
@@ -58,8 +58,7 @@ def verify_slocc_equation(state: PureState, chain: LocalOperatorChain) -> SloccV
     The image is deliberately NOT renormalized: the scaling law is a
     statement about the degree-4 homogeneous polynomial.
     """
-    if state.n % 2 == 0 or state.n < 3:
-        raise ValueError(f"need odd n >= 3, got n={state.n}")
+    check_odd_n(state.n)
     chain.assert_invertible()
     lhs = residual_tau(apply_local_operators(state, chain))
     rhs = residual_tau(state) * chain.abs_det_sq_product()

@@ -186,7 +186,7 @@ def test_criterion_09_convex_roof_properties():
             V, _ = np.linalg.qr(g)
             dec = decomposition_from_isometry(rho, V)
             candidates.append(
-                sum(p * n_tangle(s).average for p, s in dec.members)
+                sum(p * n_tangle(s).average for p, s in dec)
             )
     ok_bound = all(roof <= c + 1e-9 for c in candidates)
     _report(

@@ -11,6 +11,7 @@ from oddtangle.convex_roof import (
     decomposition_from_isometry,
 )
 from oddtangle.fast_tangle import n_tangle
+from oddtangle.io import load_density, save_density
 from oddtangle.qstate import PureState
 from oddtangle.stategen import basis_product, ghz, random_pure, w
 
@@ -46,9 +47,39 @@ def test_decomposition_from_isometry_reconstructs():
     g = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
     V, _ = np.linalg.qr(g)
     dec = decomposition_from_isometry(rho, V)
-    weights = [p for p, _ in dec.members]
+    weights = [p for p, _ in dec]
     assert abs(sum(weights) - 1.0) < 1e-10
-    np.testing.assert_allclose(dec.reconstruction(3), rho.matrix, atol=1e-10)
+    np.testing.assert_allclose(MixedState.from_ensemble(3, dec).matrix, rho.matrix, atol=1e-10)
+
+
+def test_eigensystem_is_read_only():
+    rho = MixedState.from_ensemble(3, [(0.5, ghz(3)), (0.5, w(3))])
+    for a in rho.eigensystem():
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_roof_solves_the_density_eigenproblem_once(monkeypatch, tmp_path):
+    path = str(tmp_path / "rho.json")
+    save_density(MixedState.from_ensemble(3, [(0.8, ghz(3)), (0.2, w(3))]), path)
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        inner = getattr(np.linalg, name)
+
+        def recorded(a, *args, inner=inner, **kwargs):
+            shapes.append(np.shape(a))
+            return inner(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    convex_roof_tangle(load_density(path), restarts=4, seed=0)
+    assert shapes.count((8, 8)) == 1
+
+
+def test_roof_takes_restarts_and_seed_by_keyword_only():
+    rho = MixedState.from_ensemble(3, [(0.8, ghz(3)), (0.2, w(3))])
+    with pytest.raises(TypeError):
+        convex_roof_tangle(rho, 4)
 
 
 def test_isometry_shape_rejected():
@@ -69,9 +100,9 @@ def test_roof_pure_ghz_is_one():
     assert result.value == pytest.approx(1.0, abs=1e-6)
     # every member of any decomposition of a pure state is the state itself
     # (up to phase), so each must carry the full tangle
-    for p, psi in result.best.members:
+    for p, psi in result.best:
         assert n_tangle(psi).average == pytest.approx(1.0, abs=1e-6)
-    assert sum(p for p, _ in result.best.members) == pytest.approx(1.0, abs=1e-10)
+    assert sum(p for p, _ in result.best) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_roof_pure_w_is_zero():
@@ -129,17 +160,11 @@ def test_roof_seed_reproducibility():
 def test_roof_value_matches_best_decomposition():
     rho = MixedState.from_ensemble(3, [(0.6, ghz(3)), (0.4, w(3))])
     result = convex_roof_tangle(rho, restarts=4, seed=0)
-    recomputed = sum(p * n_tangle(s).average for p, s in result.best.members)
+    recomputed = sum(p * n_tangle(s).average for p, s in result.best)
     assert result.value == pytest.approx(recomputed, abs=1e-12)
     np.testing.assert_allclose(
-        result.best.reconstruction(3), rho.matrix, atol=1e-8
+        MixedState.from_ensemble(3, result.best).matrix, rho.matrix, atol=1e-8
     )
-
-
-def test_m_max_below_rank_rejected():
-    rho = MixedState.from_ensemble(3, [(0.5, ghz(3)), (0.5, w(3))])
-    with pytest.raises(ValueError):
-        convex_roof_tangle(rho, m_max=1)
 
 
 @pytest.mark.parametrize("restarts", [-1, -3])

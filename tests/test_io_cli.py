@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,6 +121,23 @@ def test_bad_count_or_huge_integer_is_an_input_error(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "matrix",
+    ["[[[0.5, 0], [%s, 0]], [[%s, 0], [0.5, 0]]]", "[[[%s, 0], [0, 0]], [[0, 0], [1, 0]]]"],
+    ids=["off_diagonal", "diagonal"],
+)
+def test_non_finite_density_is_an_input_error(tmp_path, capsys, matrix, value):
+    path = tmp_path / "nan.json"
+    doc = '{"format_version": 1, "kind": "density", "n": 1, "matrix": %s}'
+    path.write_text(doc % (matrix.replace("%s", value)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["roof", "--density", str(path)]) == EXIT_INPUT_ERROR
+    assert caught == []
+    assert "matrix entries must be finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- CLI
 
 
@@ -197,6 +215,15 @@ def test_cli_oracle_even_n_uses_wong(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("wong_tangle ")
     assert float(out.split()[1]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "flags", [["--qubit", "1"], ["--qubit", "9", "--full-sum"], ["--full-sum"]]
+)
+def test_cli_oracle_even_n_rejects_the_odd_n_flags(tmp_path, capsys, flags):
+    path = _gen(tmp_path, "w4.json", "--type", "w", "--n", "4")
+    assert main(["oracle", "--state", path, *flags]) == EXIT_INPUT_ERROR
+    assert f"error: {flags[0]} applies only to odd n, got n=4" in capsys.readouterr().err
 
 
 def test_cli_oracle_cap(tmp_path, capsys):
@@ -431,6 +458,7 @@ def test_cli_unparsable_value_names_its_flag(tmp_path, capsys, command, message)
         "slocc-check --n 3 --tol 1",
         "perm-check --n 3 --tol 1",
         "roof --density rho.json --tol 1",
+        "roof --density rho.json --m-max 3",
     ],
 )
 def test_cli_has_no_limit_or_tolerance_flags(capsys, command):
