@@ -47,15 +47,15 @@ def count_fast_path(state: PureState) -> int:
     return counter.complex_mults
 
 
-def count_naive_path(state: PureState, i: int = 1, literal: bool = False) -> int:
-    """Multiplication tally of the defining sum for qubit i.
+def count_naive_path(state: PureState, literal: bool = False) -> int:
+    """Multiplication tally of the defining sum for qubit 1.
 
     ``literal=True`` counts the full 2**(4n) quadruple loop (3 amplitude
     products per tuple, taken before the epsilon test; n <= 3 only); the
     default counts the pruned enumeration (3 per surviving tuple).
     """
     counter = OpCounter()
-    naive_tangle.tangle_i_naive(state, i, full_sum=literal, counter=counter)
+    naive_tangle.tangle_i_naive(state, 1, full_sum=literal, counter=counter)
     return counter.complex_mults
 
 

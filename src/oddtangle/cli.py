@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io as _io
-import json
 import sys
 
 import numpy as np
@@ -102,17 +100,6 @@ def _cmd_compute(args):
             for i, (tau, t) in qubits
         )
         return _csv(header, rows), EXIT_OK
-    if args.format == "json":
-        doc = {
-            "n": report.n,
-            "per_qubit": list(report.per_qubit),
-            "average": report.average,
-            "tpq": [
-                {k: [getattr(t, k).real, getattr(t, k).imag] for k in "TPQ"}
-                for t in report.tpq_per_qubit
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n", EXIT_OK
     lines = [f"n {report.n}"]
     lines += [f"tau_{i} {_g(tau)} T {_c(t.T)} P {_c(t.P)} Q {_c(t.Q)}" for i, (tau, t) in qubits]
     lines.append(f"tau_avg {_g(report.average)}")
@@ -229,8 +216,6 @@ def _cmd_bench(args):
 def _cmd_verify_all(args):
     results = verify_all(seed=args.seed, quick=args.quick)
     code = EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
-    if args.format == "json":
-        return json.dumps([dataclasses.asdict(r) for r in results], indent=2) + "\n", code
     lines = []
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
@@ -256,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="per-qubit tangles and their average")
     p.add_argument("--state", required=True)
-    p.add_argument("--format", choices=["text", "csv", "json"], default="text")
+    p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("oracle", help="brute-force tangle evaluation")
@@ -302,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run the full identity suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_verify_all)
 
     # added last so it stays last in each --help; gen writes its state file there

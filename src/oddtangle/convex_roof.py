@@ -55,6 +55,10 @@ class MixedState:
             raise ValueError(f"matrix must be {dim}x{dim} for n={n}, got {m.shape}")
         if not np.all(np.isfinite(m.view(np.float64))):
             raise ValueError("matrix entries must be finite")
+        # a unit-trace PSD matrix has |rho_ij| <= 1; checked first, so the
+        # sums below cannot overflow
+        if np.max(np.abs(m)) > 1.0 + DENSITY_TOL:
+            raise ValueError("matrix entries must have magnitude at most 1")
         if np.max(np.abs(m - m.conj().T)) > DENSITY_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > DENSITY_TOL or abs(np.trace(m).imag) > DENSITY_TOL:

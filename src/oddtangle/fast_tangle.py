@@ -6,8 +6,8 @@ carries the epsilon sign (-1)**popcount, and P, Q a factor 2.  Then
 tau_1 = 4|T^2 - PQ|.  The 2**n products are one gather over cached index
 arrays, and the three sums one ``np.add.reduceat`` with no BLAS call, so a
 numpy build gives the same bits whatever the BLAS thread count.  Qubit i
-is qubit 1 of the state with qubits 1 and i exchanged.  The optional
-counter tallies amplitude products without touching the arithmetic.
+is qubit 1 of the state with qubits 1 and i exchanged.  The qubit-1 path's
+optional counter tallies amplitude products without touching the arithmetic.
 """
 
 from __future__ import annotations
@@ -91,14 +91,15 @@ def tangle_1_fast(state: PureState, counter=None) -> float:
     sums (2**n of them); the constant-size combining work T*T, P*Q and the
     final scaling is excluded, so counts reflect the asymptotic term count.
     """
-    return tangle_i_fast(state, 1, counter)
+    check_odd_n(state.n)
+    return _tau(compute_TPQ(state, counter))
 
 
-def tangle_i_fast(state: PureState, i: int, counter=None) -> float:
+def tangle_i_fast(state: PureState, i: int) -> float:
     """Tangle with respect to qubit i (1-based)."""
     check_odd_n(state.n)
     check_qubit_index(state.n, i)
-    return _tau(compute_TPQ(_transposed(state, i), counter))
+    return _tau(compute_TPQ(_transposed(state, i)))
 
 
 def n_tangle(state: PureState) -> TangleReport:

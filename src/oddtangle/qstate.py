@@ -19,6 +19,11 @@ DEFAULT_NORM_TOL = 1e-9
 # needs several more arrays of that length; n=21 takes well under 1 GiB.
 MAX_QUBITS = 24
 
+# Exclusive bound on a state's squared norm N.  Every quartic form of the
+# package stays below a small multiple of N**2 < 2**1000, inside the double
+# range, so no tangle overflows.
+MAX_SQUARED_NORM = 2.0**500
+
 
 def check_qubit_count(n: int) -> None:
     """Raise ValueError for n above MAX_QUBITS, before anything of size
@@ -44,7 +49,8 @@ class PureState:
     """Complex amplitude vector of length 2**n.
 
     Not required to be normalized (SLOCC images are not); use
-    ``is_normalized`` when a formula assumes unit norm.
+    ``is_normalized`` when a formula assumes unit norm.  The squared norm
+    must be positive and below MAX_SQUARED_NORM.
     """
 
     __slots__ = ("n", "amps")
@@ -59,16 +65,17 @@ class PureState:
             )
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("amplitudes must be finite")
-        sq = float(np.sum(np.abs(amps) ** 2))
-        if not (np.isfinite(sq) and sq > 0.0):
+        with np.errstate(over="ignore"):
+            sq = float(np.sum(np.abs(amps) ** 2))
+        if not sq < MAX_SQUARED_NORM:
+            raise ValueError("state squared norm must be below MAX_SQUARED_NORM = 2**500")
+        if sq == 0.0:
+            if np.any(amps):
+                raise ValueError("state squared norm underflows to 0")
             raise ValueError("state must have positive squared norm")
         amps.setflags(write=False)
         self.n = n
         self.amps = amps
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n
 
     def squared_norm(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
@@ -165,11 +172,9 @@ class LocalOperatorChain:
             if abs(d) <= 1e-12:
                 raise ValueError(f"operator {k} is singular (|det|={abs(d):.3e})")
 
-    def is_unitary(self, tol: float = 1e-10) -> bool:
+    def is_unitary(self) -> bool:
         eye = np.eye(2)
-        return all(
-            np.max(np.abs(m.conj().T @ m - eye)) <= tol for m in self.ops
-        )
+        return all(np.max(np.abs(m.conj().T @ m - eye)) <= 1e-10 for m in self.ops)
 
     @staticmethod
     def identity(n: int) -> "LocalOperatorChain":

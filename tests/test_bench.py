@@ -33,7 +33,9 @@ def test_pruned_count_scaling():
     assert count_naive_path(random_pure(3, seed=0)) == 3 * 2**6
     assert count_naive_path(random_pure(5, seed=0)) == 3 * 2**10
     # per-qubit choice does not change the tally
-    assert count_naive_path(random_pure(5, seed=1), i=4) == 3 * 2**10
+    counter = OpCounter()
+    tangle_i_naive(random_pure(5, seed=1), 4, counter=counter)
+    assert counter.complex_mults == 3 * 2**10
 
 
 def test_literal_count_is_full_quadruple_sum():

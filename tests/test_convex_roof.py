@@ -26,7 +26,9 @@ def test_mixed_state_validation():
     with pytest.raises(ValueError):
         MixedState(1, np.diag([0.7, 0.7]))  # trace != 1
     with pytest.raises(ValueError):
-        MixedState(1, np.diag([1.5, -0.5]))  # negative eigenvalue
+        MixedState(1, np.diag([1.5, -0.5]))  # entry above 1
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        MixedState(1, np.array([[0.5, 0.9], [0.9, 0.5]]))  # eigenvalues 1.4, -0.4
     with pytest.raises(ValueError):
         MixedState(2, np.eye(2) / 2.0)  # wrong dimension
 

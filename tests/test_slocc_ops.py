@@ -30,7 +30,7 @@ def test_random_invertible_constraints():
 
 def test_random_unitary_is_unitary():
     for seed in range(5):
-        assert random_local_unitary(5, seed=seed).is_unitary(1e-10)
+        assert random_local_unitary(5, seed=seed).is_unitary()
 
 
 def test_slocc_diag_example_ghz3():
