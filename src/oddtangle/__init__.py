@@ -21,10 +21,8 @@ from .qstate import (
     PureState,
     QubitPermutation,
     apply_local_operators,
-    bits_of_index,
     index_of_bits,
     permute_qubits,
-    popcount_n,
     reduced_density_single,
 )
 from .residual_forms import (

@@ -26,7 +26,7 @@ from .stategen import random_pure
 class OpCounter:
     complex_mults: int = 0
 
-    def add(self, k: int = 1) -> None:
+    def add(self, k: int) -> None:
         if k < 0:
             raise ValueError("counter only increases")
         self.complex_mults += k
@@ -47,15 +47,11 @@ def count_fast_path(state: PureState) -> int:
     return counter.complex_mults
 
 
-def count_naive_path(state: PureState, literal: bool = False) -> int:
-    """Multiplication tally of the defining sum for qubit 1.
-
-    ``literal=True`` counts the full 2**(4n) quadruple loop (3 amplitude
-    products per tuple, taken before the epsilon test; n <= 3 only); the
-    default counts the pruned enumeration (3 per surviving tuple).
-    """
+def count_naive_path(state: PureState) -> int:
+    """Multiplication tally of the pruned defining sum for qubit 1 (3
+    amplitude products per surviving tuple)."""
     counter = OpCounter()
-    naive_tangle.tangle_i_naive(state, 1, full_sum=literal, counter=counter)
+    naive_tangle.tangle_i_naive(state, 1, counter=counter)
     return counter.complex_mults
 
 

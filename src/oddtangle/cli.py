@@ -299,6 +299,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # numpy's default_rng rejects a negative seed; refuse it before any work
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         text, code = args.func(args)
         if text is not None and args.out:
             try:

@@ -19,10 +19,12 @@ DEFAULT_NORM_TOL = 1e-9
 # needs several more arrays of that length; n=21 takes well under 1 GiB.
 MAX_QUBITS = 24
 
-# Exclusive bound on a state's squared norm N.  Every quartic form of the
-# package stays below a small multiple of N**2 < 2**1000, inside the double
-# range, so no tangle overflows.
+# Bounds on a state's squared norm N: MIN_SQUARED_NORM <= N < MAX_SQUARED_NORM.
+# Every quartic form of the package stays below a small multiple of
+# N**2 < 2**1000, so no tangle overflows, and a tangle of N**2 >= 2**-1000
+# stays a normal double, so none underflows to 0.
 MAX_SQUARED_NORM = 2.0**500
+MIN_SQUARED_NORM = 2.0**-500
 
 
 def check_qubit_count(n: int) -> None:
@@ -50,7 +52,7 @@ class PureState:
 
     Not required to be normalized (SLOCC images are not); use
     ``is_normalized`` when a formula assumes unit norm.  The squared norm
-    must be positive and below MAX_SQUARED_NORM.
+    must be at least MIN_SQUARED_NORM and below MAX_SQUARED_NORM.
     """
 
     __slots__ = ("n", "amps")
@@ -58,24 +60,25 @@ class PureState:
     def __init__(self, n: int, amplitudes):
         if n < 1:
             raise ValueError(f"qubit count must be >= 1, got {n}")
-        amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
+        # one C-ordered copy, whatever the layout of the input
+        amps = np.array(amplitudes, dtype=np.complex128, order="C").reshape(-1)
         if amps.size != 2**n:
             raise ValueError(
                 f"need exactly {2**n} amplitudes for n={n}, got {amps.size}"
             )
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("amplitudes must be finite")
-        with np.errstate(over="ignore"):
-            sq = float(np.sum(np.abs(amps) ** 2))
-        if not sq < MAX_SQUARED_NORM:
-            raise ValueError("state squared norm must be below MAX_SQUARED_NORM = 2**500")
-        if sq == 0.0:
-            if np.any(amps):
-                raise ValueError("state squared norm underflows to 0")
-            raise ValueError("state must have positive squared norm")
         amps.setflags(write=False)
         self.n = n
         self.amps = amps
+        with np.errstate(over="ignore"):
+            sq = self.squared_norm()
+        if not sq < MAX_SQUARED_NORM:
+            raise ValueError("state squared norm must be below MAX_SQUARED_NORM = 2**500")
+        if sq < MIN_SQUARED_NORM:
+            if not np.any(amps):
+                raise ValueError("state must have positive squared norm")
+            raise ValueError("state squared norm must be at least MIN_SQUARED_NORM = 2**-500")
 
     def squared_norm(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
@@ -109,22 +112,6 @@ class QubitPermutation:
     def __call__(self, k: int) -> int:
         return self.map[k - 1]
 
-    def inverse(self) -> "QubitPermutation":
-        inv = [0] * self.n
-        for k, v in enumerate(self.map, start=1):
-            inv[v - 1] = k
-        return QubitPermutation(inv)
-
-    def compose(self, other: "QubitPermutation") -> "QubitPermutation":
-        """(self o other)(k) = self(other(k))."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return QubitPermutation([self(other(k)) for k in range(1, self.n + 1)])
-
-    @staticmethod
-    def identity(n: int) -> "QubitPermutation":
-        return QubitPermutation(range(1, n + 1))
-
     @staticmethod
     def transposition(n: int, i: int, j: int) -> "QubitPermutation":
         if not (1 <= i <= n and 1 <= j <= n):
@@ -132,12 +119,6 @@ class QubitPermutation:
         m = list(range(1, n + 1))
         m[i - 1], m[j - 1] = j, i
         return QubitPermutation(m)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QubitPermutation) and self.map == other.map
-
-    def __hash__(self) -> int:
-        return hash(self.map)
 
     def __repr__(self) -> str:
         return f"QubitPermutation({self.map})"
@@ -176,10 +157,6 @@ class LocalOperatorChain:
         eye = np.eye(2)
         return all(np.max(np.abs(m.conj().T @ m - eye)) <= 1e-10 for m in self.ops)
 
-    @staticmethod
-    def identity(n: int) -> "LocalOperatorChain":
-        return LocalOperatorChain([np.eye(2)] * n)
-
 
 def index_of_bits(bits) -> int:
     """Index of |b1 b2 ... bn> under the MSB-first convention."""
@@ -189,20 +166,6 @@ def index_of_bits(bits) -> int:
             raise ValueError(f"bits must be 0 or 1, got {b!r}")
         idx = (idx << 1) | b
     return idx
-
-
-def bits_of_index(idx: int, n: int):
-    """Inverse of index_of_bits; returns (b1, ..., bn)."""
-    if not 0 <= idx < 2**n:
-        raise ValueError(f"index {idx} out of range for n={n}")
-    return tuple((idx >> (n - k)) & 1 for k in range(1, n + 1))
-
-
-def popcount_n(l: int, n: int) -> int:
-    """Number of 1s in the n-bit binary representation of l."""
-    if not 0 <= l < 2**n:
-        raise ValueError(f"{l} is not an n-bit value for n={n}")
-    return int(l).bit_count()
 
 
 def permute_qubits(state: PureState, perm: QubitPermutation) -> PureState:

@@ -39,7 +39,9 @@ def test_pruned_count_scaling():
 
 
 def test_literal_count_is_full_quadruple_sum():
-    assert count_naive_path(random_pure(3, seed=0), literal=True) == paper_naive_count(3)
+    counter = OpCounter()
+    tangle_i_naive(random_pure(3, seed=0), 1, full_sum=True, counter=counter)
+    assert counter.complex_mults == paper_naive_count(3)
     assert paper_naive_count(3) == 3 * 2**12
 
 

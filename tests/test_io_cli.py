@@ -11,7 +11,7 @@ import oddtangle
 import oddtangle.bench
 from oddtangle.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from oddtangle.convex_roof import MixedState
-from oddtangle.qstate import MAX_SQUARED_NORM, PureState
+from oddtangle.qstate import MAX_SQUARED_NORM, MIN_SQUARED_NORM, PureState
 from oddtangle.io import (
     StateFileError,
     load_density,
@@ -158,7 +158,8 @@ _STATE_COMMANDS = ["compute", "oracle", "residual", "tangle3", "perm-check"]
     [
         (1e100, "state squared norm must be below MAX_SQUARED_NORM = 2**500"),
         (1e200, "state squared norm must be below MAX_SQUARED_NORM = 2**500"),
-        (1e-200, "state squared norm underflows to 0"),
+        (1e-90, "state squared norm must be at least MIN_SQUARED_NORM = 2**-500"),
+        (1e-200, "state squared norm must be at least MIN_SQUARED_NORM = 2**-500"),
         (0.0, "state must have positive squared norm"),
     ],
 )
@@ -187,6 +188,19 @@ def test_state_just_under_the_norm_bound_gives_finite_output(tmp_path, capsys, c
     assert caught == []
     out = capsys.readouterr().out
     assert "inf" not in out and "nan" not in out
+
+
+def test_state_at_the_norm_floor_keeps_its_tangle(tmp_path, capsys):
+    # GHZ(3) in the Hadamard basis has amplitude 1/2 on the four even-weight
+    # kets, so at scale 2**-250 both its squared norm and its tangle are exact
+    h = 2.0**-251
+    state = PureState(3, [h, 0, 0, h, 0, h, h, 0])
+    assert state.squared_norm() == MIN_SQUARED_NORM == 2.0**-500
+    path = str(tmp_path / "s.json")
+    save_state(state, path)
+    assert main(["compute", "--state", path]) == EXIT_OK
+    last = capsys.readouterr().out.splitlines()[-1].split()
+    assert last[0] == "tau_avg" and float(last[1]) == 2.0**-1000
 
 
 # ---------------------------------------------------------------- CLI
@@ -516,10 +530,40 @@ def test_cli_has_no_json_output(capsys, command, message):
     assert message in capsys.readouterr().err
 
 
-def test_readme_cli_block_runs(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "command",
+    [
+        "gen --type ghz --n 3 --seed -1",
+        "slocc-check --n 3 --seed -5",
+        "perm-check --n 7 --seed -5",
+        "roof --density rho.json --seed -2",
+        "bench --n-list 7 --seed -5",
+        "verify-all --seed -5",
+    ],
+)
+def test_cli_negative_seed_is_an_input_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    argv = command.split() + ["--out", "out"]
+    assert main(argv) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", f"error: --seed must be >= 0, got {argv[-3]}\n")
+    # refused before any work: nothing is read or written
+    assert os.listdir(tmp_path) == []
+
+
+def _readme():
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
-        readme = fh.read()
-    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+        return fh.read()
+
+
+def test_readme_quick_tour_runs():
+    block = _readme().split("\n## Library quick tour\n", 1)[1].split("```python\n", 1)[1]
+    namespace = {}
+    exec(block.split("```", 1)[0], namespace)
+    assert abs(namespace["report"].average - 1.0) <= 1e-12
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    block = _readme().split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
     commands = [line.split()[1:] for line in block.splitlines() if line.startswith("oddtangle ")]
     assert commands, "no oddtangle lines in the README's CLI block"
     monkeypatch.chdir(tmp_path)
