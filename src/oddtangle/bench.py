@@ -64,40 +64,30 @@ class BenchRow:
     median_seconds: float
 
 
-def timing_sweep(n_list, repetitions: int = 5, seed: int = 0):
-    """Median wall times of both methods on one seeded random state per n."""
+def _median_seconds(fn, repetitions: int) -> float:
+    times = []
+    for _ in range(repetitions):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def timing_sweep(n_list, repetitions: int = 5):
+    """Median wall times of both methods on random_pure(n, seed=n) for each
+    n; the counts do not depend on the state."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     rows = []
     for n in n_list:
         check_odd_n(n)
-        state = random_pure(n, seed=seed + n)
-        fast_times = []
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            tangle_1_fast(state)
-            fast_times.append(time.perf_counter() - t0)
-        naive_times = []
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            naive_tangle.tangle_i_naive(state, 1)
-            naive_times.append(time.perf_counter() - t0)
-        rows.append(
+        state = random_pure(n, seed=n)
+        fast_s = _median_seconds(lambda: tangle_1_fast(state), repetitions)
+        naive_s = _median_seconds(lambda: naive_tangle.tangle_i_naive(state, 1), repetitions)
+        rows += [
+            BenchRow(n, "fast", count_fast_path(state), paper_fast_count(n), fast_s),
             BenchRow(
-                n=n,
-                method="fast",
-                mult_count=count_fast_path(state),
-                paper_count=paper_fast_count(n),
-                median_seconds=statistics.median(fast_times),
-            )
-        )
-        rows.append(
-            BenchRow(
-                n=n,
-                method="naive_pruned",
-                mult_count=count_naive_path(state),
-                paper_count=paper_naive_count(n),
-                median_seconds=statistics.median(naive_times),
-            )
-        )
+                n, "naive_pruned", count_naive_path(state), paper_naive_count(n), naive_s
+            ),
+        ]
     return rows

@@ -69,6 +69,8 @@ def _check_trials(trials: int) -> None:
 
 
 def _cmd_gen(args):
+    if args.bits is not None and args.type != "basis":
+        raise ValueError("--bits applies only to --type basis")
     if args.type == "ghz":
         state = ghz(args.n)
     elif args.type == "w":
@@ -171,7 +173,10 @@ def _cmd_slocc_check(args):
 
 def _cmd_perm_check(args):
     _check_trials(args.trials)
-    state = load_state(args.state) if args.state else random_pure(args.n, seed=args.seed)
+    if args.state and args.n is not None:
+        raise ValueError("--n applies only without --state")
+    n = 5 if args.n is None else args.n
+    state = load_state(args.state) if args.state else random_pure(n, seed=args.seed)
     if state.n <= 5:
         perms = all_permutations(state.n)
     else:
@@ -207,14 +212,14 @@ def _cmd_bench(args):
     except ValueError:
         msg = f"--n-list must be comma-separated integers, got {args.n_list!r}"
         raise ValueError(msg) from None
-    sweep = bench_mod.timing_sweep(n_list, repetitions=args.repetitions, seed=args.seed)
+    sweep = bench_mod.timing_sweep(n_list, repetitions=args.repetitions)
     header = ["n", "method", "mult_count", "paper_count", "median_seconds"]
     rows = ([r.n, r.method, r.mult_count, r.paper_count, _g(r.median_seconds)] for r in sweep)
     return _csv(header, rows), EXIT_OK
 
 
 def _cmd_verify_all(args):
-    results = verify_all(seed=args.seed, quick=args.quick)
+    results = verify_all(seed=args.seed)
     code = EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
     lines = []
     for r in results:
@@ -267,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perm-check", help="permutation invariance of the average")
     p.add_argument("--state")
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=int)  # 5 without --state; not allowed with it
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=50)
     p.set_defaults(func=_cmd_perm_check)
@@ -281,12 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="multiplication counts and timings")
     p.add_argument("--n-list", default="3,5", dest="n_list")
     p.add_argument("--repetitions", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("verify-all", help="run the full identity suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--quick", action="store_true")
     p.set_defaults(func=_cmd_verify_all)
 
     # added last so it stays last in each --help; gen writes its state file there

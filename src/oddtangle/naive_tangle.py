@@ -19,6 +19,8 @@ from .stategen import random_pure
 ORACLE_MAX_QUBITS = 7
 # smallest change of the forced even-n formula counted as a witness
 WITNESS_THRESHOLD = 1e-6
+# random (state, relabelling) pairs the witness search tries
+WITNESS_TRIALS = 100
 
 
 def epsilon(a: int, b: int) -> int:
@@ -147,17 +149,18 @@ def wong_tangle_naive(state: PureState, force: bool = False) -> float:
     return 2.0 * abs(_w_pattern_pruned(state.amps, n, n))
 
 
-def find_noninvariance_witness(n: int, trials: int = 100, seed: int = 0):
+def find_noninvariance_witness(n: int, seed: int = 0):
     """Search for a (state, permutation) pair where the forced even-n formula
     changes under the permutation.  Returns (state, permutation, before,
-    after) or None if nothing exceeds WITNESS_THRESHOLD in `trials` attempts.
+    after) or None if nothing exceeds WITNESS_THRESHOLD in WITNESS_TRIALS
+    attempts.
     """
     if n % 2 == 0 or not 3 < n <= ORACLE_MAX_QUBITS:
         raise ValueError(
             f"witness search needs odd n with 3 < n <= {ORACLE_MAX_QUBITS}, got n={n}"
         )
     rng = np.random.default_rng(seed)
-    for trial in range(trials):
+    for _ in range(WITNESS_TRIALS):
         state = random_pure(n, seed=int(rng.integers(0, 2**31)))
         perm_list = 1 + rng.permutation(n)
         perm = QubitPermutation(perm_list)

@@ -137,7 +137,7 @@ def three_tangle_spread(states) -> float:
     return worst_of(gaps())
 
 
-def verify_all(seed: int = 0, quick: bool = False) -> list[CheckResult]:
+def verify_all(seed: int = 0) -> list[CheckResult]:
     """Run every cross-check on samples drawn from `seed`; returns a list
     of CheckResult."""
     results = []
@@ -145,11 +145,11 @@ def verify_all(seed: int = 0, quick: bool = False) -> list[CheckResult]:
     def check(name, worst, tol, detail=""):
         results.append(CheckResult(name, worst <= tol, worst, tol, detail))
 
-    ns_anchor = (3, 5) if quick else (3, 5, 7, 9)
+    ns_anchor = (3, 5, 7, 9)
     check("ghz_anchor", worst_of(abs(n_tangle(ghz(n)).average - 1.0) for n in ns_anchor), 1e-12)
     check("w_anchor", worst_of(abs(n_tangle(w(n)).average) for n in ns_anchor), 1e-12)
 
-    trials = 3 if quick else 10
+    trials = 10
     worst = oracle_error(
         random_pure(n, seed=seed + 100 * n + t) for n in (3, 5) for t in range(trials)
     )
@@ -163,28 +163,16 @@ def verify_all(seed: int = 0, quick: bool = False) -> list[CheckResult]:
     check("bridge_identities", bridge, 1e-12)
     check("residual_equals_fast", rel_tau, 1e-11)
 
-    # one generator feeds the quick n=5 relabellings, then the partial ones
-    rng = np.random.default_rng(seed + 17)
-    n_states = 2 if quick else 5
-    samples = [
-        (random_pure(3, seed=seed + 300 + t), all_permutations(3)) for t in range(n_states)
-    ]
-    samples += [
-        (
-            random_pure(5, seed=seed + 400 + t),
-            [QubitPermutation(1 + rng.permutation(5)) for _ in range(10)]
-            if quick
-            else all_permutations(5),
-        )
-        for t in range(n_states)
-    ]
+    samples = [(random_pure(3, seed=seed + 300 + t), all_permutations(3)) for t in range(5)]
+    samples += [(random_pure(5, seed=seed + 400 + t), all_permutations(5)) for t in range(5)]
     worst = worst_of(permutation_delta(s, perms) for s, perms in samples)
     check("average_permutation_invariance", worst, PERMUTATION_TOL)
 
+    rng = np.random.default_rng(seed + 17)
     partial = []
     for n in (5, 7):
         s = random_pure(n, seed=seed + 500 + n)
-        partial += [(s, i, perms_fixing(n, i, rng, 5 if quick else 20)) for i in (1, n)]
+        partial += [(s, i, perms_fixing(n, i, rng, 20)) for i in (1, n)]
     worst = worst_of(partial_permutation_delta(s, i, perms) for s, i, perms in partial)
     check("per_qubit_partial_invariance", worst, PERMUTATION_TOL)
 
@@ -208,12 +196,10 @@ def verify_all(seed: int = 0, quick: bool = False) -> list[CheckResult]:
     )
     check("lu_invariance", worst, SLOCC_TOL)
 
-    worst = three_tangle_spread(
-        random_pure(3, seed=seed + 1000 + t) for t in range(10 if quick else 50)
-    )
+    worst = three_tangle_spread(random_pure(3, seed=seed + 1000 + t) for t in range(50))
     check("three_tangle_crosscheck", worst, 1e-10)
 
-    witness = find_noninvariance_witness(5, trials=20 if quick else 100, seed=seed)
+    witness = find_noninvariance_witness(5, seed=seed)
     gap, detail = 0.0, "no witness found; the non-invariance claim is unconfirmed"
     if witness is not None:
         _, perm, before, after = witness

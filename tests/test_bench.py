@@ -64,7 +64,7 @@ def test_instrumentation_does_not_change_values():
 
 
 def test_timing_sweep_rows():
-    rows = timing_sweep([3, 5], repetitions=2, seed=0)
+    rows = timing_sweep([3, 5], repetitions=2)
     assert len(rows) == 4
     by_key = {(r.n, r.method): r for r in rows}
     assert by_key[(3, "fast")].mult_count == 8

@@ -220,7 +220,8 @@ def test_cli_gen_above_qubit_cap_is_an_input_error(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(np, "zeros", no_alloc)
     monkeypatch.setattr(np.random, "default_rng", no_alloc)
     out = str(tmp_path / "big.json")
-    argv = ["gen", "--type", kind, "--n", "40", "--bits", "0" * 40, "--out", out]
+    bits = ["--bits", "0" * 40] if kind == "basis" else []
+    argv = ["gen", "--type", kind, "--n", "40", *bits, "--out", out]
     assert main(argv) == EXIT_INPUT_ERROR
     assert "40 qubits exceed the limit of MAX_QUBITS=24" in capsys.readouterr().err
     assert not os.path.exists(out)
@@ -346,6 +347,25 @@ def test_cli_perm_check_from_file(tmp_path, capsys):
     assert "permutations 5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("gen --type ghz --n 3 --bits 0101", "--bits applies only to --type basis"),
+        ("perm-check --state r5.json --n 9", "--n applies only without --state"),
+        ("perm-check --state r5.json --n 5", "--n applies only without --state"),
+    ],
+)
+def test_cli_flag_the_command_would_ignore_is_an_input_error(
+    tmp_path, monkeypatch, capsys, command, message
+):
+    monkeypatch.chdir(tmp_path)
+    save_state(random_pure(5, seed=0), "r5.json")
+    assert main(command.split() + ["--out", "out"]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # refused before any work: nothing is written
+    assert os.listdir(tmp_path) == ["r5.json"]
+
+
 def test_cli_perm_check_scales_with_the_state(tmp_path, capsys):
     # an unnormalized state: the tangle grows as the fourth power of the scale
     path = str(tmp_path / "r100.json")
@@ -407,8 +427,8 @@ def test_cli_bench(capsys):
     assert lines[2].startswith("3,naive_pruned,192,12288,")
 
 
-def test_cli_verify_all_quick(capsys):
-    assert main(["verify-all", "--quick"]) == EXIT_OK
+def test_cli_verify_all(capsys):
+    assert main(["verify-all"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
 
@@ -418,7 +438,7 @@ def test_cli_verify_all_reports_a_failed_check(monkeypatch, capsys):
 
     fast = oddtangle.verify.tangle_i_fast
     monkeypatch.setattr(oddtangle.verify, "tangle_i_fast", lambda s, i: fast(s, i) + 1e-6)
-    assert main(["verify-all", "--quick"]) == EXIT_CHECK_FAILED
+    assert main(["verify-all"]) == EXIT_CHECK_FAILED
     lines = capsys.readouterr().out.splitlines()
     assert any(l.startswith("[FAIL] oracle_equivalence ") for l in lines)
     assert any(l.startswith("[PASS] ghz_anchor ") for l in lines)
@@ -428,7 +448,7 @@ def test_cli_verify_all_fails_a_nan_error(monkeypatch, capsys):
     import oddtangle.verify
 
     monkeypatch.setattr(oddtangle.verify, "tangle_i_fast", lambda s, i: float("nan"))
-    assert main(["verify-all", "--quick"]) == EXIT_CHECK_FAILED
+    assert main(["verify-all"]) == EXIT_CHECK_FAILED
     lines = capsys.readouterr().out.splitlines()
     assert any(l.startswith("[FAIL] oracle_equivalence worst_error=nan ") for l in lines)
 
@@ -507,6 +527,8 @@ def test_cli_unparsable_value_names_its_flag(tmp_path, capsys, command, message)
         "perm-check --n 3 --tol 1",
         "roof --density rho.json --tol 1",
         "roof --density rho.json --m-max 3",
+        "verify-all --quick",
+        "bench --n-list 3 --seed 0",
     ],
 )
 def test_cli_has_no_limit_or_tolerance_flags(capsys, command):
@@ -537,7 +559,6 @@ def test_cli_has_no_json_output(capsys, command, message):
         "slocc-check --n 3 --seed -5",
         "perm-check --n 7 --seed -5",
         "roof --density rho.json --seed -2",
-        "bench --n-list 7 --seed -5",
         "verify-all --seed -5",
     ],
 )
@@ -586,7 +607,7 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
         ["perm-check", "--n", "3"],
         ["roof", "--density", "{rho}", "--restarts", "1"],
         ["bench", "--n-list", "3", "--repetitions", "1"],
-        ["verify-all", "--quick"],
+        ["verify-all"],
     ],
     ids=[
         "compute-text", "compute-csv", "oracle", "tangle3", "residual",

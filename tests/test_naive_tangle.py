@@ -120,7 +120,7 @@ def test_witness_search_preconditions():
 
 
 def test_witness_found_at_n5():
-    witness = find_noninvariance_witness(5, trials=100, seed=0)
+    witness = find_noninvariance_witness(5, seed=0)
     assert witness is not None
     state, perm, before, after = witness
     assert abs(before - after) > 1e-6
