@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from . import naive_tangle
-from .fast_tangle import tangle_1_fast
+from .fast_tangle import compute_TPQ, tangle_1_fast
 from .qstate import PureState, check_odd_n
 from .stategen import random_pure
 
@@ -42,8 +42,9 @@ def paper_naive_count(n: int) -> int:
 
 def count_fast_path(state: PureState) -> int:
     """Complex multiplications used by the reduced qubit-1 tangle."""
+    check_odd_n(state.n)
     counter = OpCounter()
-    tangle_1_fast(state, counter=counter)
+    compute_TPQ(state, counter)
     return counter.complex_mults
 
 
@@ -75,12 +76,15 @@ def _median_seconds(fn, repetitions: int) -> float:
 
 def timing_sweep(n_list, repetitions: int = 5):
     """Median wall times of both methods on random_pure(n, seed=n) for each
-    n; the counts do not depend on the state."""
+    n; the counts do not depend on the state.  Every n is checked before
+    the first timing."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    rows = []
     for n in n_list:
         check_odd_n(n)
+        naive_tangle.check_oracle_size(n)
+    rows = []
+    for n in n_list:
         state = random_pure(n, seed=n)
         fast_s = _median_seconds(lambda: tangle_1_fast(state), repetitions)
         naive_s = _median_seconds(lambda: naive_tangle.tangle_i_naive(state, 1), repetitions)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fast_tangle import n_tangle
+from .fast_tangle import epsilon_signs, n_tangle
 from .qstate import PureState, check_odd_n
 
 RANK_EIG_CUTOFF = 1e-10
@@ -160,10 +160,7 @@ def _objective(n: int, W: np.ndarray):
         return 0.0, grad
     Wk, pk = W[keep], p[keep]
     B = Wk.shape[0]
-    signs = np.ones(1)
-    for _ in range(n):
-        signs = np.concatenate([signs, -signs])
-    Wt = signs * Wk[:, ::-1]
+    Wt = epsilon_signs(n) * Wk[:, ::-1]
     tau = np.zeros(B)
     g = np.zeros_like(Wk)
     for i in range(1, n + 1):
@@ -208,23 +205,23 @@ def _value_and_grad(x: np.ndarray, n: int, m: int, r: int, scaled: np.ndarray):
     return value, 2.0 * np.concatenate([gM.real.reshape(-1), gM.imag.reshape(-1)])
 
 
-def _lbfgs(fun, x: np.ndarray, f: float, g: np.ndarray):
-    """Minimize fun, which returns (value, gradient), by L-BFGS from x,
-    where (f, g) = fun(x) is the caller's start evaluation; it counts as
-    the first of the LBFGS_MAX_EVALUATIONS calls.
+def _lbfgs(fun, x: np.ndarray):
+    """Minimize fun, which returns (value, gradient), by L-BFGS from x.
 
     Two-loop recursion over the last LBFGS_MEMORY curvature pairs (pairs
     with s.y <= 0 are skipped), scaled by s.y / y.y of the newest pair, or
     by min(1, 1/max|g|) before there is one; Armijo backtracking from step
-    1, halving the step.  Returns (x, value, status): status 0 when
-    max|g| <= LBFGS_GTOL or the relative decrease
-    (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= LBFGS_FTOL, 1 when
+    1, halving the step.  Returns (x, start value, value, status,
+    evaluations): status 0 when max|g| <= LBFGS_GTOL or the relative
+    decrease (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= LBFGS_FTOL, 1 when
     LBFGS_MAX_EVALUATIONS calls are used up, 2 when the line search finds
     no decrease in LBFGS_MAX_HALVINGS halvings or the direction is not a
-    descent direction.  Only accepted points are returned, so the value
-    never exceeds f.
+    descent direction.  ``evaluations`` counts every call of fun, the
+    start point's first.  Only accepted points are returned, so the value
+    never exceeds the start value.
     """
-    evaluations = 1
+    f, g = fun(x)
+    start, evaluations = f, 1
     pairs = []  # (s, y, 1 / s.y), oldest first
     while np.max(np.abs(g)) > LBFGS_GTOL:
         d = -g
@@ -241,11 +238,11 @@ def _lbfgs(fun, x: np.ndarray, f: float, g: np.ndarray):
             d = d + (alpha - rho * (y @ d)) * s
         slope = g @ d
         if not slope < 0:
-            return x, f, 2
+            return x, start, f, 2, evaluations
         step = 1.0
         for _ in range(LBFGS_MAX_HALVINGS):
             if evaluations >= LBFGS_MAX_EVALUATIONS:
-                return x, f, 1
+                return x, start, f, 1, evaluations
             x_new = x + step * d
             f_new, g_new = fun(x_new)
             evaluations += 1
@@ -253,7 +250,7 @@ def _lbfgs(fun, x: np.ndarray, f: float, g: np.ndarray):
                 break
             step *= 0.5
         else:
-            return x, f, 2
+            return x, start, f, 2, evaluations
         s, y = x_new - x, g_new - g
         sy = s @ y
         if sy > 0:
@@ -263,7 +260,7 @@ def _lbfgs(fun, x: np.ndarray, f: float, g: np.ndarray):
         x, f, g = x_new, f_new, g_new
         if decrease <= LBFGS_FTOL:
             break
-    return x, f, 0
+    return x, start, f, 0, evaluations
 
 
 def convex_roof_tangle(rho: MixedState, *, restarts: int = 32, seed: int = 0) -> RoofResult:
@@ -285,10 +282,10 @@ def convex_roof_tangle(rho: MixedState, *, restarts: int = 32, seed: int = 0) ->
     bound is globally optimal.  Restarts stop early once the value drops
     to ROOF_ZERO_TOL = 1e-9 or below (the objective cannot go negative).
     ``evaluations`` counts objective-and-gradient calls: the candidate
-    once, and each restart's start once, passed to ``_lbfgs`` as its first
-    evaluation; ``restart_log`` holds (start value, final value,
-    status) per restart, with status 0 converged, 1 evaluation limit and
-    2 line search failed.
+    once, plus the calls each restart's ``_lbfgs`` reports, its start point
+    included; ``restart_log`` holds (start value, final value, status) per
+    restart, with status 0 converged, 1 evaluation limit and 2 line search
+    failed.
     """
     check_odd_n(rho.n)
     if restarts < 0:
@@ -297,11 +294,8 @@ def convex_roof_tangle(rho: MixedState, *, restarts: int = 32, seed: int = 0) ->
     r = scaled.shape[0]
     m = r + 2
     rng = np.random.default_rng(seed)
-    evaluations = 0
 
     def f_and_grad(x: np.ndarray):
-        nonlocal evaluations
-        evaluations += 1
         return _value_and_grad(x, rho.n, m, r, scaled)
 
     # the eigendecomposition (identity isometry) is always a candidate, so
@@ -309,14 +303,14 @@ def convex_roof_tangle(rho: MixedState, *, restarts: int = 32, seed: int = 0) ->
     # GHZ/W mixtures, so no local search starts there
     best_x = np.concatenate([np.eye(m, r).reshape(-1), np.zeros(m * r)])
     best_value = f_and_grad(best_x)[0]
+    evaluations = 1
     log = []
     for _ in range(restarts):
         if best_value <= ROOF_ZERO_TOL:
             break
-        x0 = rng.standard_normal(2 * m * r)
-        start_val, start_grad = f_and_grad(x0)
-        x, value, status = _lbfgs(f_and_grad, x0, start_val, start_grad)
-        log.append((start_val, value, status))
+        x, start, value, status, used = _lbfgs(f_and_grad, rng.standard_normal(2 * m * r))
+        evaluations += used
+        log.append((start, value, status))
         if value < best_value:
             best_value, best_x = value, x
     best = decomposition_from_isometry(rho, _polar(best_x, m, r)[3])

@@ -6,8 +6,9 @@ carries the epsilon sign (-1)**popcount, and P, Q a factor 2.  Then
 tau_1 = 4|T^2 - PQ|.  The 2**n products are one gather over cached index
 arrays, and the three sums one ``np.add.reduceat`` with no BLAS call, so a
 numpy build gives the same bits whatever the BLAS thread count.  Qubit i
-is qubit 1 of the state with qubits 1 and i exchanged.  The qubit-1 path's
-optional counter tallies amplitude products without touching the arithmetic.
+is qubit 1 of the state with qubits 1 and i exchanged.  ``compute_TPQ`` is
+the one function that takes a counter; it tallies amplitude products
+without touching the arithmetic.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ class TangleReport:
     tpq_per_qubit: tuple
 
 
+def epsilon_signs(bits: int) -> np.ndarray:
+    """(-1)**popcount(y) for y = 0 .. 2**bits - 1, built by sign doubling."""
+    signs = np.ones(1)
+    for _ in range(bits):
+        signs = np.concatenate([signs, -signs])
+    return signs
+
+
 @lru_cache(maxsize=None)
 def _terms(n: int):
     """Qubit-1 terms (left, right, weight) in T, P, Q order: term k adds
@@ -43,9 +52,7 @@ def _terms(n: int):
     dim = 1 << n
     half = dim >> 1
     quarter = dim >> 2
-    signs = np.ones(1)
-    for _ in range(n - 1):
-        signs = np.concatenate([signs, -signs])
+    signs = epsilon_signs(n - 1)
     k = np.arange(half, dtype=np.int64)
     even = 2 * k[:quarter]
     left = np.concatenate([k, even, half + even])
@@ -69,7 +76,8 @@ def _transposed(state: PureState, i: int) -> PureState:
 
 
 def compute_TPQ(state: PureState, counter=None) -> TPQ:
-    """The three reduced sums for the tangle with respect to qubit 1."""
+    """The three reduced sums for the tangle with respect to qubit 1; the
+    counter, if given, tallies their 2**n amplitude products."""
     n = state.n
     if n < 2:
         raise ValueError(f"T/P/Q need n >= 2, got n={n}")
@@ -84,15 +92,10 @@ def compute_TPQ(state: PureState, counter=None) -> TPQ:
     return TPQ(complex(T), complex(P), complex(Q))
 
 
-def tangle_1_fast(state: PureState, counter=None) -> float:
-    """4|T^2 - PQ|, the tangle with respect to qubit 1.
-
-    The counter tallies only the per-term amplitude products of the three
-    sums (2**n of them); the constant-size combining work T*T, P*Q and the
-    final scaling is excluded, so counts reflect the asymptotic term count.
-    """
+def tangle_1_fast(state: PureState) -> float:
+    """4|T^2 - PQ|, the tangle with respect to qubit 1."""
     check_odd_n(state.n)
-    return _tau(compute_TPQ(state, counter))
+    return _tau(compute_TPQ(state))
 
 
 def tangle_i_fast(state: PureState, i: int) -> float:

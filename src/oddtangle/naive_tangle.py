@@ -30,7 +30,8 @@ def epsilon(a: int, b: int) -> int:
     return b - a
 
 
-def _check_size(n: int) -> None:
+def check_oracle_size(n: int) -> None:
+    """Raise ValueError for n above ORACLE_MAX_QUBITS."""
     if n > ORACLE_MAX_QUBITS:
         raise ValueError(f"n={n} exceeds the oracle limit of {ORACLE_MAX_QUBITS} qubits")
 
@@ -125,7 +126,7 @@ def tangle_i_naive(state: PureState, i: int, full_sum: bool = False, counter=Non
         raise ValueError(f"n={n} is even; use wong_tangle_naive")
     check_odd_n(n)
     check_qubit_index(n, i)
-    _check_size(n)
+    check_oracle_size(n)
     kernel = _w_pattern_literal if full_sum else _w_pattern_pruned
     return 2.0 * abs(kernel(state.amps, n, i, counter))
 
@@ -145,7 +146,7 @@ def wong_tangle_naive(state: PureState, force: bool = False) -> float:
         )
     if n < 2:
         raise ValueError("tangles need n >= 2")
-    _check_size(n)
+    check_oracle_size(n)
     return 2.0 * abs(_w_pattern_pruned(state.amps, n, n))
 
 

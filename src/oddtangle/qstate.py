@@ -86,12 +86,6 @@ class PureState:
     def is_normalized(self, tol: float = DEFAULT_NORM_TOL) -> bool:
         return abs(self.squared_norm() - 1.0) <= tol
 
-    def normalized(self) -> "PureState":
-        return PureState(self.n, self.amps / np.sqrt(self.squared_norm()))
-
-    def scaled(self, c: complex) -> "PureState":
-        return PureState(self.n, c * self.amps)
-
     def __repr__(self) -> str:
         return f"PureState(n={self.n})"
 

@@ -8,7 +8,7 @@ from oddtangle.bench import (
     paper_naive_count,
     timing_sweep,
 )
-from oddtangle.fast_tangle import tangle_1_fast
+from oddtangle.fast_tangle import compute_TPQ
 from oddtangle.naive_tangle import tangle_i_naive
 from oddtangle.stategen import random_pure
 
@@ -58,7 +58,7 @@ def test_instrumentation_does_not_change_values():
     for n in (3, 5):
         s = random_pure(n, seed=100 + n)
         counted = OpCounter()
-        assert tangle_1_fast(s, counter=counted) == tangle_1_fast(s)
+        assert compute_TPQ(s, counted) == compute_TPQ(s)
         counted = OpCounter()
         assert tangle_i_naive(s, 1, counter=counted) == tangle_i_naive(s, 1)
 

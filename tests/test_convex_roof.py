@@ -188,6 +188,16 @@ def test_zero_restarts_returns_the_eigendecomposition():
     assert result.value == pytest.approx(eig_avg, abs=1e-12)
 
 
+def _counted(fun):
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return fun(x)
+
+    return counted, calls
+
+
 def test_lbfgs_minimizes_a_convex_quadratic():
     # as many parameters as an n=3 rank-2 roof (2 * m * r with m = 4, r = 2);
     # the ftol test stops once f falls by <= 1e-12, so the curvature (>= 1e4)
@@ -202,30 +212,36 @@ def test_lbfgs_minimizes_a_convex_quadratic():
         return 0.5 * (x - c) @ A @ (x - c), A @ (x - c)
 
     x0 = rng.standard_normal(k)
-    x, value, status = _lbfgs(fun, x0, *fun(x0))
+    counted, calls = _counted(fun)
+    x, start, value, status, evaluations = _lbfgs(counted, x0)
     assert status == 0
     np.testing.assert_allclose(x, c, rtol=0, atol=1e-8)
     assert value == fun(x)[0]
+    assert start == fun(x0)[0]
+    assert evaluations == len(calls)
 
 
 def test_lbfgs_reports_its_limits():
-    calls = []
-
     def unbounded(x):  # every step is accepted and f never stops falling
-        calls.append(1)
         return float(np.sum(x)), np.ones_like(x)
 
     x0 = np.zeros(4)
-    x, value, status = _lbfgs(unbounded, x0, *unbounded(x0))
+    counted, calls = _counted(unbounded)
+    x, start, value, status, evaluations = _lbfgs(counted, x0)
     assert (status, len(calls)) == (1, oddtangle.convex_roof.LBFGS_MAX_EVALUATIONS)
+    assert evaluations == len(calls)
+    assert start == unbounded(x0)[0]
     assert value == np.sum(x) < 0
 
     def wrong_gradient(x):  # the direction ascends, so no step is accepted
         return float(x @ x), -x
 
     x0 = np.ones(4)
-    x, value, status = _lbfgs(wrong_gradient, x0, *wrong_gradient(x0))
+    counted, calls = _counted(wrong_gradient)
+    x, start, value, status, evaluations = _lbfgs(counted, x0)
     assert status == 2
+    assert evaluations == len(calls)
+    assert start == wrong_gradient(x0)[0]
     assert value == 4.0 and np.array_equal(x, x0)
 
 

@@ -104,7 +104,7 @@ def test_homogeneity_of_report():
     s = random_pure(5, seed=23)
     c = 1.4 + 0.3j
     base = n_tangle(s)
-    scaled = n_tangle(s.scaled(c))
+    scaled = n_tangle(PureState(5, c * s.amps))
     k = abs(c) ** 4
     assert scaled.average == pytest.approx(k * base.average, rel=1e-12)
     for x, y in zip(scaled.per_qubit, base.per_qubit):

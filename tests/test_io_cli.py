@@ -181,7 +181,7 @@ def test_state_norm_out_of_double_range_is_an_input_error(
 def test_state_just_under_the_norm_bound_gives_finite_output(tmp_path, capsys, command):
     path = str(tmp_path / "s.json")
     state = random_pure(3, seed=4)
-    save_state(state.scaled(np.sqrt(0.999999 * MAX_SQUARED_NORM)), path)
+    save_state(PureState(3, np.sqrt(0.999999 * MAX_SQUARED_NORM) * state.amps), path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([command, "--state", path]) == EXIT_OK
@@ -369,7 +369,7 @@ def test_cli_flag_the_command_would_ignore_is_an_input_error(
 def test_cli_perm_check_scales_with_the_state(tmp_path, capsys):
     # an unnormalized state: the tangle grows as the fourth power of the scale
     path = str(tmp_path / "r100.json")
-    save_state(random_pure(5, seed=3).scaled(100.0), path)
+    save_state(PureState(5, 100.0 * random_pure(5, seed=3).amps), path)
     assert main(["perm-check", "--state", path]) == EXIT_OK
     assert capsys.readouterr().out.endswith(" tol 1e-10 PASS\n")
 
@@ -425,6 +425,22 @@ def test_cli_bench(capsys):
     assert lines[0] == "n,method,mult_count,paper_count,median_seconds"
     assert lines[1].startswith("3,fast,8,11,")
     assert lines[2].startswith("3,naive_pruned,192,12288,")
+
+
+@pytest.mark.parametrize(
+    "n_list, message",
+    [
+        ("7,7,7,9", "n=9 exceeds the oracle limit of 7 qubits"),
+        ("3,4", "need odd n >= 3, got n=4"),
+    ],
+)
+def test_cli_bench_refuses_a_bad_n_list_before_timing(monkeypatch, capsys, n_list, message):
+    def no_timing(fn, repetitions):
+        raise AssertionError("timed an n before the whole list was checked")
+
+    monkeypatch.setattr(oddtangle.bench, "_median_seconds", no_timing)
+    assert main(["bench", "--n-list", n_list]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_verify_all(capsys):

@@ -7,7 +7,7 @@ from oddtangle.naive_tangle import (
     tangle_i_naive,
     wong_tangle_naive,
 )
-from oddtangle.qstate import QubitPermutation, permute_qubits
+from oddtangle.qstate import PureState, QubitPermutation, permute_qubits
 from oddtangle.stategen import basis_product, ghz, random_pure, w
 
 
@@ -84,7 +84,7 @@ def test_transposition_turns_tau1_into_taui():
 def test_degree_four_homogeneity():
     s = random_pure(3, seed=8)
     c = 0.7 - 1.3j
-    scaled = s.scaled(c)
+    scaled = PureState(3, c * s.amps)
     assert tangle_i_naive(scaled, 2) == pytest.approx(
         abs(c) ** 4 * tangle_i_naive(s, 2), rel=1e-12
     )

