@@ -35,11 +35,10 @@ from .slocc_ops import (
     SloccVerdict,
     random_local_invertible,
     random_local_unitary,
-    slocc_distinguish,
     verify_lu_invariance,
     verify_slocc_equation,
 )
 from .stategen import basis_product, ghz, random_pure, w
-from .three_tangle import c_a_bc_squared, ckw_tangle, spin_flip_concurrence
+from .three_tangle import c_a_bc_squared, ckw_tangle
 
 __version__ = "0.1.0"

@@ -71,12 +71,14 @@ def _check_trials(trials: int) -> None:
 def _cmd_gen(args):
     if args.bits is not None and args.type != "basis":
         raise ValueError("--bits applies only to --type basis")
+    if args.seed is not None and args.type != "random":
+        raise ValueError("--seed applies only to --type random")
     if args.type == "ghz":
         state = ghz(args.n)
     elif args.type == "w":
         state = w(args.n)
     elif args.type == "random":
-        state = random_pure(args.n, seed=args.seed)
+        state = random_pure(args.n, seed=0 if args.seed is None else args.seed)
     else:
         if args.bits is None:
             raise StateFileError("basis states need --bits")
@@ -172,16 +174,20 @@ def _cmd_slocc_check(args):
 
 
 def _cmd_perm_check(args):
-    _check_trials(args.trials)
+    if args.trials is not None:
+        _check_trials(args.trials)
     if args.state and args.n is not None:
         raise ValueError("--n applies only without --state")
     n = 5 if args.n is None else args.n
     state = load_state(args.state) if args.state else random_pure(n, seed=args.seed)
     if state.n <= 5:
+        if args.trials is not None:
+            raise ValueError("--trials applies only above n=5")
         perms = all_permutations(state.n)
     else:
+        trials = 50 if args.trials is None else args.trials
         rng = np.random.default_rng(args.seed)
-        perms = [QubitPermutation(1 + rng.permutation(state.n)) for _ in range(args.trials)]
+        perms = [QubitPermutation(1 + rng.permutation(state.n)) for _ in range(trials)]
     worst = permutation_delta(state, perms)
     ok = worst <= PERMUTATION_TOL
     text = (
@@ -240,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a state file")
     p.add_argument("--type", choices=["ghz", "w", "random", "basis"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)  # 0 for --type random; not allowed otherwise
     p.add_argument("--bits", help="bitstring for --type basis, e.g. 010")
     p.set_defaults(func=_cmd_gen)
 
@@ -274,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state")
     p.add_argument("--n", type=int)  # 5 without --state; not allowed with it
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=int)  # 50 above n=5; not allowed at n <= 5
     p.set_defaults(func=_cmd_perm_check)
 
     p = sub.add_parser("roof", help="convex-roof upper bound for a mixed state")
@@ -303,7 +309,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # numpy's default_rng rejects a negative seed; refuse it before any work
-        if getattr(args, "seed", 0) < 0:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         text, code = args.func(args)
         if text is not None and args.out:

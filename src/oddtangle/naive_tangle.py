@@ -17,7 +17,7 @@ from .stategen import random_pure
 
 # largest n the oracle evaluates (2**(2n) terms per qubit); no caller can raise it
 ORACLE_MAX_QUBITS = 7
-# smallest change of the forced even-n formula counted as a witness
+# smallest change of the even-n formula at odd n counted as a witness
 WITNESS_THRESHOLD = 1e-6
 # random (state, relabelling) pairs the witness search tries
 WITNESS_TRIALS = 100
@@ -131,30 +131,22 @@ def tangle_i_naive(state: PureState, i: int, full_sum: bool = False, counter=Non
     return 2.0 * abs(kernel(state.amps, n, i, counter))
 
 
-def wong_tangle_naive(state: PureState, force: bool = False) -> float:
-    """Even-n tangle (the pattern that pairs qubits 1..n-1 and links qubit n).
-
-    Defined for even n and for n=3, up to ORACLE_MAX_QUBITS.  For odd n > 3
-    the value is not permutation invariant; ``force=True`` evaluates the
-    formula anyway so the non-invariance can be witnessed.
-    """
+def wong_tangle_naive(state: PureState) -> float:
+    """Even-n tangle (the pattern that pairs qubits 1..n-1 and links qubit n),
+    for even n from 2 to ORACLE_MAX_QUBITS.  At odd n the same sum is
+    ``tangle_i_naive(state, n)``."""
     n = state.n
-    if n % 2 == 1 and n > 3 and not force:
-        raise ValueError(
-            f"the even-n formula is not permutation invariant at odd n={n}; "
-            "pass force=True to evaluate it regardless"
-        )
-    if n < 2:
-        raise ValueError("tangles need n >= 2")
+    if n % 2 == 1:
+        raise ValueError(f"n={n} is odd; use tangle_i_naive")
     check_oracle_size(n)
     return 2.0 * abs(_w_pattern_pruned(state.amps, n, n))
 
 
 def find_noninvariance_witness(n: int, seed: int = 0):
-    """Search for a (state, permutation) pair where the forced even-n formula
-    changes under the permutation.  Returns (state, permutation, before,
-    after) or None if nothing exceeds WITNESS_THRESHOLD in WITNESS_TRIALS
-    attempts.
+    """Search for a (state, permutation) pair where the even-n formula, which
+    at odd n is the tangle with respect to qubit n, changes under the
+    permutation.  Returns (state, permutation, before, after) or None if
+    nothing exceeds WITNESS_THRESHOLD in WITNESS_TRIALS attempts.
     """
     if n % 2 == 0 or not 3 < n <= ORACLE_MAX_QUBITS:
         raise ValueError(
@@ -165,8 +157,8 @@ def find_noninvariance_witness(n: int, seed: int = 0):
         state = random_pure(n, seed=int(rng.integers(0, 2**31)))
         perm_list = 1 + rng.permutation(n)
         perm = QubitPermutation(perm_list)
-        before = wong_tangle_naive(state, force=True)
-        after = wong_tangle_naive(permute_qubits(state, perm), force=True)
+        before = tangle_i_naive(state, n)
+        after = tangle_i_naive(permute_qubits(state, perm), n)
         if abs(before - after) > WITNESS_THRESHOLD:
             return state, perm, before, after
     return None

@@ -1,5 +1,5 @@
-"""SLOCC machinery: random local operator chains, the scaling-law check,
-local-unitary invariance, and the vanishing-pattern class discriminator."""
+"""SLOCC machinery: random local operator chains, the scaling-law check and
+local-unitary invariance."""
 
 from __future__ import annotations
 
@@ -84,13 +84,3 @@ def verify_lu_invariance(state: PureState, chain: LocalOperatorChain) -> SloccVe
         lhs=after.average, rhs=before.average, rel_error=worst, passed=worst <= SLOCC_TOL
     )
 
-
-def slocc_distinguish(tau_a: float, tau_b: float) -> str:
-    """'different_classes' iff exactly one tangle vanishes (is <= 1e-9);
-    equal vanishing or two nonzero values prove nothing and give
-    'inconclusive'."""
-    if tau_a < 0 or tau_b < 0:
-        raise ValueError("tangles must be nonnegative")
-    a_zero = tau_a <= 1e-9
-    b_zero = tau_b <= 1e-9
-    return "different_classes" if a_zero != b_zero else "inconclusive"

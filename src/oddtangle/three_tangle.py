@@ -1,13 +1,11 @@
-"""Three-qubit specializations: the coefficient 3-tangle, the spin-flip
-concurrence, and the single-qubit-cut squared concurrence."""
+"""Three-qubit specializations: the coefficient 3-tangle and the
+single-qubit-cut squared concurrence."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .qstate import PureState, reduced_density_single
-
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
 def ckw_terms(state: PureState) -> tuple[complex, complex, complex]:
@@ -37,22 +35,6 @@ def ckw_tangle(state: PureState) -> float:
     """3-tangle from the amplitude coefficients: 4|d1 - 2 d2 + 4 d3|."""
     d1, d2, d3 = ckw_terms(state)
     return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
-
-
-def spin_flip_concurrence(state: PureState) -> float:
-    """|<psi|psi~>|^2 with psi~ = (sigma_y (x) sigma_y) psi*.
-
-    Note: the usual two-qubit concurrence is |<psi|psi~>| WITHOUT the outer
-    square; this function keeps the squared form deliberately (see README)
-    and so returns the square of the standard concurrence.
-    """
-    if state.n != 2:
-        raise ValueError(f"spin-flip concurrence needs n=2, got n={state.n}")
-    if not state.is_normalized():
-        raise ValueError("spin-flip concurrence expects a normalized state")
-    flip = np.kron(_SIGMA_Y, _SIGMA_Y)
-    psi_tilde = flip @ state.amps.conj()
-    return float(abs(np.vdot(state.amps, psi_tilde)) ** 2)
 
 
 def c_a_bc_squared(state: PureState, cut_qubit: int) -> float:

@@ -12,7 +12,8 @@ from oddtangle.convex_roof import (
 )
 from oddtangle.fast_tangle import n_tangle
 from oddtangle.io import load_density, save_density
-from oddtangle.qstate import PureState
+from oddtangle.qstate import PureState, apply_local_operators
+from oddtangle.slocc_ops import random_local_unitary
 from oddtangle.stategen import basis_product, ghz, random_pure, w
 
 
@@ -313,6 +314,42 @@ def test_roof_restart_statuses_on_the_ghz_w_line(p):
     result = convex_roof_tangle(rho, restarts=4, seed=0)
     assert {status for _, _, status in result.restart_log} <= {0, 1, 2}
     assert result.value >= _ghz_w_roof(p) - 1e-9
+
+
+# n=5 lifts: every state in the range of rho3 (x) |phi><phi| is a product, so
+# roof = (3/5) tau_W(phi) roof3; with the roles swapped,
+# roof(|psi3><psi3| (x) sigma) = (3/5) tau(psi3) C(sigma)^2.  Both are taken in
+# one random local-unitary frame, which leaves the roof unchanged.
+_BELL = PureState(2, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
+_LU5 = random_local_unitary(5, seed=11)
+
+
+def _lifted(members):
+    """sum_k p_k |chi_k><chi_k| for chi_k = LU5 (psi_k (x) phi_k)."""
+    return MixedState.from_ensemble(
+        5,
+        [
+            (p, apply_local_operators(PureState(5, np.kron(psi.amps, phi.amps)), _LU5))
+            for p, psi, phi in members
+        ],
+    )
+
+
+@pytest.mark.parametrize("p", [0.5, 0.6, 0.68, 0.8, 0.9])
+def test_roof_ghz_w_times_bell_is_above_its_closed_form(p):
+    rho = _lifted([(p, ghz(3), _BELL), (1 - p, w(3), _BELL)])
+    value = convex_roof_tangle(rho, restarts=4, seed=0).value
+    assert value >= 0.6 * _ghz_w_roof(p) - 1e-9  # lower would mean a wrong objective
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.7, 0.9])
+def test_roof_ghz_times_werner_matches_its_closed_form(p, seed):
+    # Werner(p) = p |Bell><Bell| + (1-p) I/4 has concurrence max(0, (3p-1)/2)
+    basis = [basis_product(2, bits) for bits in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    rho = _lifted([(p, ghz(3), _BELL)] + [((1 - p) / 4, ghz(3), b) for b in basis])
+    value = convex_roof_tangle(rho, restarts=4, seed=seed).value
+    assert abs(value - 0.6 * max(0.0, (3 * p - 1) / 2) ** 2) <= 1e-9
 
 
 def test_roof_counts_every_evaluation(monkeypatch):

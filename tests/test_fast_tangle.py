@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from oddtangle.fast_tangle import compute_TPQ, n_tangle, tangle_1_fast, tangle_i_fast
-from oddtangle.naive_tangle import tangle_i_naive
-from oddtangle.qstate import PureState, QubitPermutation, permute_qubits
+from oddtangle.naive_tangle import tangle_i_naive, wong_tangle_naive
+from oddtangle.qstate import PureState, QubitPermutation, apply_local_operators, permute_qubits
+from oddtangle.slocc_ops import random_local_unitary
+from oddtangle.three_tangle import ckw_tangle
 from oddtangle.stategen import basis_product, ghz, random_pure, w
 
 
@@ -117,3 +119,52 @@ def test_bound_on_random_states(n):
         report = n_tangle(random_pure(n, seed=10_000 * n + seed))
         assert all(0.0 <= t <= 1.0 + 1e-9 for t in report.per_qubit)
         assert 0.0 <= report.average <= 1.0 + 1e-9
+
+
+# ------------------------------------------- closed forms above the oracle limit
+
+ANCHOR_TOL = 1e-12
+
+
+@pytest.mark.parametrize("n_o, n_e", [(3, 2), (3, 4), (5, 2), (5, 4), (3, 6)])
+@pytest.mark.parametrize("odd_first", [True, False])
+def test_product_law(n_o, n_e, odd_first):
+    # tau_i(psi (x) phi) = tau_i(psi) * tau_W(phi) on psi's qubits, 0 on phi's
+    psi, phi = random_pure(n_o, seed=n_o), random_pure(n_e, seed=10 + n_e)
+    tau_w = wong_tangle_naive(phi)
+    expected = [tangle_i_naive(psi, i) * tau_w for i in range(1, n_o + 1)]
+    if odd_first:
+        amps, expected = np.kron(psi.amps, phi.amps), expected + [0.0] * n_e
+    else:
+        amps, expected = np.kron(phi.amps, psi.amps), [0.0] * n_e + expected
+    report = n_tangle(PureState(n_o + n_e, amps))
+    assert np.max(np.abs(np.array(report.per_qubit) - expected)) <= ANCHOR_TOL
+
+
+def _acin_state():
+    """lam0|000> + lam1 e^{i phi}|100> + lam2|101> + lam3|110> + lam4|111>,
+    whose 3-tangle is 4 lam0^2 lam4^2 (Acin et al., PRL 85, 1560 (2000))."""
+    lam = np.array([0.6, 0.3, 0.3, 0.3, np.sqrt(0.37)])
+    amps = np.zeros(8, dtype=complex)
+    amps[[0, 4, 5, 6, 7]] = lam * np.array([1, np.exp(0.7j), 1, 1, 1])
+    return PureState(3, amps), 4 * lam[0] ** 2 * lam[4] ** 2
+
+
+@pytest.mark.parametrize("n", [9, 15, 17])
+def test_acin_state_with_bell_pairs(n):
+    # psi3 (x) Bell^(x k), relabelled and rotated by local unitaries: tau3 on
+    # the images of qubits 1-3, 0 on every qubit of a Bell pair
+    psi3, tau3 = _acin_state()
+    assert tau3 >= 0.1
+    assert ckw_tangle(psi3) == pytest.approx(tau3, abs=ANCHOR_TOL)
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    amps = psi3.amps
+    for _ in range((n - 3) // 2):
+        amps = np.kron(amps, bell)
+    perm = QubitPermutation(1 + np.random.default_rng(n).permutation(n))
+    state = permute_qubits(PureState(n, amps), perm)
+    state = apply_local_operators(state, random_local_unitary(n, seed=n))
+    expected = np.zeros(n)
+    expected[[perm(k) - 1 for k in (1, 2, 3)]] = tau3
+    report = n_tangle(state)
+    assert np.max(np.abs(np.array(report.per_qubit) - expected)) <= ANCHOR_TOL

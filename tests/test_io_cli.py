@@ -353,6 +353,11 @@ def test_cli_perm_check_from_file(tmp_path, capsys):
         ("gen --type ghz --n 3 --bits 0101", "--bits applies only to --type basis"),
         ("perm-check --state r5.json --n 9", "--n applies only without --state"),
         ("perm-check --state r5.json --n 5", "--n applies only without --state"),
+        ("gen --type ghz --n 3 --seed 0", "--seed applies only to --type random"),
+        ("gen --type basis --n 3 --bits 010 --seed 1", "--seed applies only to --type random"),
+        ("perm-check --trials 50", "--trials applies only above n=5"),
+        ("perm-check --n 3 --trials 5", "--trials applies only above n=5"),
+        ("perm-check --state r5.json --trials 5", "--trials applies only above n=5"),
     ],
 )
 def test_cli_flag_the_command_would_ignore_is_an_input_error(
@@ -364,6 +369,15 @@ def test_cli_flag_the_command_would_ignore_is_an_input_error(
     assert capsys.readouterr() == ("", f"error: {message}\n")
     # refused before any work: nothing is written
     assert os.listdir(tmp_path) == ["r5.json"]
+
+
+def test_cli_flags_left_unset_keep_their_defaults(tmp_path, capsys):
+    # gen --type random draws seed 0; perm-check tries 50 relabellings above n=5
+    unset = _gen(tmp_path, "a.json", "--type", "random", "--n", "5")
+    zero = _gen(tmp_path, "b.json", "--type", "random", "--n", "5", "--seed", "0")
+    assert open(unset).read() == open(zero).read()
+    assert main(["perm-check", "--n", "7"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("permutations 50 ")
 
 
 def test_cli_perm_check_scales_with_the_state(tmp_path, capsys):

@@ -95,19 +95,10 @@ def test_wong_anchors():
     assert wong_tangle_naive(w(4)) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_wong_n3_equals_tau3():
-    for seed in (0, 3):
-        s = random_pure(3, seed=seed)
-        assert wong_tangle_naive(s) == pytest.approx(
-            tangle_i_naive(s, 3), abs=1e-12
-        )
-
-
-def test_wong_rejects_odd_n5_without_force():
-    s = random_pure(5, seed=0)
-    with pytest.raises(ValueError):
-        wong_tangle_naive(s)
-    wong_tangle_naive(s, force=True)  # forced evaluation is allowed
+def test_wong_refuses_odd_n():
+    for n in (3, 5):
+        with pytest.raises(ValueError, match=f"n={n} is odd; use tangle_i_naive"):
+            wong_tangle_naive(random_pure(n, seed=0))
 
 
 def test_witness_search_preconditions():
@@ -125,7 +116,5 @@ def test_witness_found_at_n5():
     state, perm, before, after = witness
     assert abs(before - after) > 1e-6
     # reproduce the reported pair
-    assert wong_tangle_naive(state, force=True) == pytest.approx(before, abs=1e-14)
-    assert wong_tangle_naive(
-        permute_qubits(state, perm), force=True
-    ) == pytest.approx(after, abs=1e-14)
+    assert tangle_i_naive(state, 5) == pytest.approx(before, abs=1e-14)
+    assert tangle_i_naive(permute_qubits(state, perm), 5) == pytest.approx(after, abs=1e-14)

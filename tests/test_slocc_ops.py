@@ -6,11 +6,10 @@ from oddtangle.residual_forms import residual_tau
 from oddtangle.slocc_ops import (
     random_local_invertible,
     random_local_unitary,
-    slocc_distinguish,
     verify_lu_invariance,
     verify_slocc_equation,
 )
-from oddtangle.stategen import ghz, random_pure, w
+from oddtangle.stategen import ghz, random_pure
 
 
 def test_random_invertible_deterministic():
@@ -87,14 +86,3 @@ def test_slocc_equation_rejects_singular_chain():
     )
     with pytest.raises(ValueError):
         verify_slocc_equation(ghz(3), chain)
-
-
-def test_distinguish_verdicts():
-    tau_ghz = residual_tau(ghz(3))
-    tau_w = residual_tau(w(3))
-    assert slocc_distinguish(tau_ghz, tau_w) == "different_classes"
-    assert slocc_distinguish(tau_w, tau_ghz) == "different_classes"
-    assert slocc_distinguish(tau_ghz, tau_ghz) == "inconclusive"
-    assert slocc_distinguish(0.0, 0.0) == "inconclusive"
-    with pytest.raises(ValueError):
-        slocc_distinguish(-0.1, 0.5)

@@ -5,7 +5,7 @@ from oddtangle.fast_tangle import tangle_1_fast
 from oddtangle.qstate import PureState, QubitPermutation, permute_qubits
 from oddtangle.residual_forms import residual_tau
 from oddtangle.stategen import basis_product, ghz, random_pure, w
-from oddtangle.three_tangle import c_a_bc_squared, ckw_tangle, spin_flip_concurrence
+from oddtangle.three_tangle import c_a_bc_squared, ckw_tangle
 
 SQ2 = np.sqrt(2.0)
 
@@ -34,31 +34,6 @@ def test_ckw_bell_times_single_qubit():
 def test_ckw_rejects_wrong_n():
     with pytest.raises(ValueError):
         ckw_tangle(ghz(5))
-
-
-def test_concurrence_bell():
-    bell = PureState(2, [1.0 / SQ2, 0.0, 0.0, 1.0 / SQ2])
-    assert spin_flip_concurrence(bell) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_concurrence_product():
-    assert spin_flip_concurrence(basis_product(2, (0, 1))) == pytest.approx(
-        0.0, abs=1e-14
-    )
-
-
-def test_concurrence_partial():
-    # cos(t)|00> + sin(t)|11> has standard concurrence sin(2t); this returns its square
-    t = 0.3
-    s = PureState(2, [np.cos(t), 0.0, 0.0, np.sin(t)])
-    assert spin_flip_concurrence(s) == pytest.approx(np.sin(2 * t) ** 2, abs=1e-14)
-
-
-def test_concurrence_rejects():
-    with pytest.raises(ValueError):
-        spin_flip_concurrence(ghz(3))
-    with pytest.raises(ValueError):
-        spin_flip_concurrence(PureState(2, [2.0, 0.0, 0.0, 0.0]))
 
 
 def test_cut_concurrence_ghz():
