@@ -10,10 +10,15 @@ Density file:
 
 Floats are written as their shortest round-tripping repr, so amplitudes
 round-trip exactly through the text form, signed zeros included.  Both
-loaders share one path and raise StateFileError (CLI exit 2) on a wrong
-version, kind or shape, an `n` that is not an integer in 1..MAX_QUBITS
-(`true` included), or an `re`/`im` that is not a JSON number (booleans,
-strings, null) or is an integer beyond float range.
+writers share one path: the bytes are those of one `json.dumps` of the
+whole document plus a newline, encoded by json's C encoder in blocks of
+whole rows of at most BLOCK_ENTRIES entries, so no Python list of the
+whole array is built.  Both loaders share one path and raise
+StateFileError (CLI exit 2) on a file that cannot be opened, is not UTF-8,
+is not JSON or nests too deeply to decode; on a wrong version, kind or
+shape, an `n` that is not an integer in 1..MAX_QUBITS (`true` included),
+or an `re`/`im` that is not a JSON number (booleans, strings, null) or is
+an integer beyond float range.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .convex_roof import MixedState
 from .qstate import MAX_QUBITS, PureState
 
 FORMAT_VERSION = 1
+BLOCK_ENTRIES = 4096  # complex entries per json.dumps call in _save
 
 
 class StateFileError(ValueError):
@@ -58,9 +64,9 @@ def _load(path: str, kind: str, key: str, ndim: int, make):
     """make(n, values) for a `kind` file whose `key` holds 2**n x ... (ndim
     axes) [re, im] pairs."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top-level value must be an object")
@@ -82,11 +88,20 @@ def _load(path: str, kind: str, key: str, ndim: int, make):
 
 def _save(path: str, kind: str, key: str, n: int, values: np.ndarray) -> None:
     """Write values (2**n x ... complex) as the `key` of a `kind` file,
-    each entry a [re, im] pair of floats."""
-    pairs = values.view(np.float64).reshape(values.shape + (2,)).tolist()
+    each entry a [re, im] pair of floats.  The text is that of one
+    json.dumps of the document, encoded in blocks of whole rows (at most
+    BLOCK_ENTRIES entries, or one row if a row is longer), because
+    json.dump never uses the C encoder."""
+    head = json.dumps({"format_version": FORMAT_VERSION, "kind": kind, "n": n, key: []})
+    pairs = values.view(np.float64).reshape(values.shape + (2,))
+    rows = max(1, BLOCK_ENTRIES // (values.size // len(values)))
     with open(path, "w") as fh:
-        json.dump({"format_version": FORMAT_VERSION, "kind": kind, "n": n, key: pairs}, fh)
-        fh.write("\n")
+        fh.write(head[:-2])  # up to and including the key's "["
+        for start in range(0, len(pairs), rows):
+            if start:
+                fh.write(", ")
+            fh.write(json.dumps(pairs[start:start + rows].tolist())[1:-1])
+        fh.write("]}\n")
 
 
 def load_state(path: str) -> PureState:

@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -41,6 +43,48 @@ def test_density_roundtrip(tmp_path):
     save_density(rho, path)
     back = load_density(path)
     np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-16)
+
+
+def _one_json_dumps(kind, key, n, values):
+    """The file text as one json.dumps of the whole document gives it
+    (json's C encoder, no blocks)."""
+    pairs = values.view(np.float64).reshape(values.shape + (2,)).tolist()
+    return json.dumps({"format_version": 1, "kind": kind, "n": n, key: pairs}) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 3, 13])  # 2**13 entries fill two blocks
+def test_saved_state_text_is_one_json_dumps(tmp_path, n):
+    state = random_pure(n, seed=n)
+    path = tmp_path / "s.json"
+    save_state(state, str(path))
+    assert path.read_text() == _one_json_dumps("state", "amplitudes", n, state.amps)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])  # 2**7 rows of 2**7 entries fill four blocks
+def test_saved_density_text_is_one_json_dumps(tmp_path, n):
+    rho = MixedState.from_ensemble(n, [(0.25, random_pure(n, seed=n)), (0.75, random_pure(n, seed=n + 1))])
+    path = tmp_path / "rho.json"
+    save_density(rho, str(path))
+    assert path.read_text() == _one_json_dumps("density", "matrix", n, rho.matrix)
+
+
+def test_saved_state_golden_text(tmp_path):
+    path = tmp_path / "s.json"
+    save_state(PureState(1, [complex(-0.0, 1e-05), complex(1e16, 0.5)]), str(path))
+    assert path.read_text() == (
+        '{"format_version": 1, "kind": "state", "n": 1, "amplitudes": [[-0.0, 1e-05], [1e+16, 0.5]]}\n'
+    )
+
+
+def test_save_state_memory_stays_bounded(tmp_path):
+    state = random_pure(16, seed=1)
+    tracemalloc.start()
+    try:
+        save_state(state, str(tmp_path / "s.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * state.amps.nbytes  # 2 x 16 * 2**16 bytes
 
 
 @pytest.mark.parametrize(
@@ -490,6 +534,28 @@ def test_cli_malformed_state_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_DEEP = b"[" * 100000 + b"]" * 100000
+
+
+@pytest.mark.parametrize(
+    "flag, content",
+    [
+        ("--state", _DEEP),
+        ("--state", b'{"format_version": 1, "kind": "state", "n": 1, "amplitudes": ' + _DEEP + b"}"),
+        ("--density", b'{"format_version": 1, "kind": "density", "n": 1, "matrix": ' + _DEEP + b"}"),
+        ("--state", b"\xff\xfe\x00garbage"),
+        ("--density", b"\xff\xfe\x00garbage"),
+    ],
+    ids=["deep-state", "deep-amplitudes", "deep-matrix", "not-utf8-state", "not-utf8-density"],
+)
+def test_cli_undecodable_file_is_an_input_error(tmp_path, capsys, flag, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    command = "compute" if flag == "--state" else "roof"
+    assert main([command, flag, str(path)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
 def test_cli_out_file(tmp_path):
     state_path = _gen(tmp_path, "g.json", "--type", "ghz", "--n", "3")
     out_path = tmp_path / "report.txt"
@@ -601,8 +667,8 @@ def test_cli_negative_seed_is_an_input_error(tmp_path, monkeypatch, capsys, comm
     assert os.listdir(tmp_path) == []
 
 
-def _readme():
-    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+def _readme(name="README.md"):
+    with open(os.path.join(os.path.dirname(__file__), "..", name), encoding="utf-8") as fh:
         return fh.read()
 
 
@@ -611,6 +677,16 @@ def test_readme_quick_tour_runs():
     namespace = {}
     exec(block.split("```", 1)[0], namespace)
     assert abs(namespace["report"].average - 1.0) <= 1e-12
+
+
+def _quick_tour_bullets(name):
+    """The "- `module` — ..." bullets under a document's Library quick tour."""
+    section = _readme(name).split("\n## Library quick tour\n", 1)[1].split("\n## ", 1)[0]
+    return section[section.index("\n- `"):]
+
+
+def test_paper_quick_tour_bullets_match_the_readme():
+    assert _quick_tour_bullets("PAPER.md") == _quick_tour_bullets("README.md")
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch):
