@@ -2,14 +2,14 @@
 residual-entanglement identities, SLOCC checks, and a convex-roof extension
 to mixed states."""
 
-from .bench import OpCounter, count_fast_path, count_naive_path, timing_sweep
+from .bench import count_fast_path, count_naive_path, timing_sweep
 from .convex_roof import (
     MixedState,
     RoofResult,
     convex_roof_tangle,
     decomposition_from_isometry,
 )
-from .fast_tangle import TPQ, TangleReport, compute_TPQ, n_tangle, tangle_1_fast, tangle_i_fast
+from .fast_tangle import TPQ, TangleReport, compute_TPQ, n_tangle, tangle_i_fast
 from .naive_tangle import (
     epsilon,
     find_noninvariance_witness,

@@ -1,5 +1,7 @@
-"""Instrumented multiplication counts and wall-clock comparison of the
-brute-force and reduced tangle evaluations.
+"""Multiplication counts and wall-clock comparison of the brute-force and
+reduced tangle evaluations.  Each count comes from the code that does the
+work: the length of the fast path's term table, and the tally the oracle's
+loop keeps.
 
 Counting convention: one tick per complex amplitude product inside a sum.
 Constant-size combining work (T*T, P*Q, the final scaling), sign flips and
@@ -17,19 +19,9 @@ import time
 from dataclasses import dataclass
 
 from . import naive_tangle
-from .fast_tangle import compute_TPQ, tangle_1_fast
+from .fast_tangle import _terms, tangle_i_fast
 from .qstate import PureState, check_odd_n
 from .stategen import random_pure
-
-
-@dataclass
-class OpCounter:
-    complex_mults: int = 0
-
-    def add(self, k: int) -> None:
-        if k < 0:
-            raise ValueError("counter only increases")
-        self.complex_mults += k
 
 
 def paper_fast_count(n: int) -> int:
@@ -41,19 +33,16 @@ def paper_naive_count(n: int) -> int:
 
 
 def count_fast_path(state: PureState) -> int:
-    """Complex multiplications used by the reduced qubit-1 tangle."""
+    """Complex multiplications used by the reduced qubit-1 tangle: one per
+    term that compute_TPQ gathers."""
     check_odd_n(state.n)
-    counter = OpCounter()
-    compute_TPQ(state, counter)
-    return counter.complex_mults
+    return _terms(state.n)[0].size
 
 
 def count_naive_path(state: PureState) -> int:
     """Multiplication tally of the pruned defining sum for qubit 1 (3
-    amplitude products per surviving tuple)."""
-    counter = OpCounter()
-    naive_tangle.tangle_i_naive(state, 1, counter=counter)
-    return counter.complex_mults
+    amplitude products per surviving tuple), as its loop tallies it."""
+    return naive_tangle._w_sum(state, 1)[1]
 
 
 @dataclass(frozen=True)
@@ -86,7 +75,7 @@ def timing_sweep(n_list, repetitions: int = 5):
     rows = []
     for n in n_list:
         state = random_pure(n, seed=n)
-        fast_s = _median_seconds(lambda: tangle_1_fast(state), repetitions)
+        fast_s = _median_seconds(lambda: tangle_i_fast(state, 1), repetitions)
         naive_s = _median_seconds(lambda: naive_tangle.tangle_i_naive(state, 1), repetitions)
         rows += [
             BenchRow(n, "fast", count_fast_path(state), paper_fast_count(n), fast_s),

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .convex_roof import convex_roof_tangle
-from .fast_tangle import compute_TPQ, n_tangle, tangle_1_fast
+from .fast_tangle import compute_TPQ, n_tangle, tangle_i_fast
 from .io import StateFileError, load_density, load_state, save_state
 from .naive_tangle import tangle_i_naive, wong_tangle_naive
 from .qstate import QubitPermutation
@@ -131,7 +131,7 @@ def _cmd_tangle3(args):
     lines += [
         f"tau_coefficients {_g(ckw_tangle(state))}",
         f"tau_oracle {_g(tangle_i_naive(state, 1))}",
-        f"tau_fast {_g(tangle_1_fast(state))}",
+        f"tau_fast {_g(tangle_i_fast(state, 1))}",
     ]
     return "\n".join(lines) + "\n", EXIT_OK
 
@@ -150,7 +150,7 @@ def _cmd_residual(args):
     lines += [
         f"T {_c(tpq.T)} P {_c(tpq.P)} Q {_c(tpq.Q)}",
         f"residual_tau {_g(residual_tau(state))}",
-        f"tau_1_fast {_g(tangle_1_fast(state))}",
+        f"tau_1_fast {_g(tangle_i_fast(state, 1))}",
     ]
     return "\n".join(lines) + "\n", EXIT_OK
 
@@ -179,14 +179,17 @@ def _cmd_perm_check(args):
     if args.state and args.n is not None:
         raise ValueError("--n applies only without --state")
     n = 5 if args.n is None else args.n
-    state = load_state(args.state) if args.state else random_pure(n, seed=args.seed)
+    seed = 0 if args.seed is None else args.seed
+    state = load_state(args.state) if args.state else random_pure(n, seed=seed)
     if state.n <= 5:
         if args.trials is not None:
             raise ValueError("--trials applies only above n=5")
+        if args.state and args.seed is not None:
+            raise ValueError("--seed applies only without --state or above n=5")
         perms = all_permutations(state.n)
     else:
         trials = 50 if args.trials is None else args.trials
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(seed)
         perms = [QubitPermutation(1 + rng.permutation(state.n)) for _ in range(trials)]
     worst = permutation_delta(state, perms)
     ok = worst <= PERMUTATION_TOL
@@ -198,8 +201,11 @@ def _cmd_perm_check(args):
 
 
 def _cmd_roof(args):
+    if args.restarts == 0 and args.seed is not None:
+        raise ValueError("--seed applies only with --restarts above 0")
     rho = load_density(args.density)
-    result = convex_roof_tangle(rho, restarts=args.restarts, seed=args.seed)
+    seed = 0 if args.seed is None else args.seed
+    result = convex_roof_tangle(rho, restarts=args.restarts, seed=seed)
     lines = [
         f"value {_g(result.value)}",
         f"restarts {result.restarts_used} converged {result.converged}",
@@ -279,14 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perm-check", help="permutation invariance of the average")
     p.add_argument("--state")
     p.add_argument("--n", type=int)  # 5 without --state; not allowed with it
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)  # 0; not allowed with --state at n <= 5
     p.add_argument("--trials", type=int)  # 50 above n=5; not allowed at n <= 5
     p.set_defaults(func=_cmd_perm_check)
 
     p = sub.add_parser("roof", help="convex-roof upper bound for a mixed state")
     p.add_argument("--density", required=True)
     p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)  # 0; not allowed with --restarts 0
     p.set_defaults(func=_cmd_roof)
 
     p = sub.add_parser("bench", help="multiplication counts and timings")

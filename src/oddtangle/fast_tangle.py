@@ -6,9 +6,8 @@ carries the epsilon sign (-1)**popcount, and P, Q a factor 2.  Then
 tau_1 = 4|T^2 - PQ|.  The 2**n products are one gather over cached index
 arrays, and the three sums one ``np.add.reduceat`` with no BLAS call, so a
 numpy build gives the same bits whatever the BLAS thread count.  Qubit i
-is qubit 1 of the state with qubits 1 and i exchanged.  ``compute_TPQ`` is
-the one function that takes a counter; it tallies amplitude products
-without touching the arithmetic.
+is qubit 1 of the state with qubits 1 and i exchanged.  The work count of
+one ``compute_TPQ`` call is the length of the term table it gathers over.
 """
 
 from __future__ import annotations
@@ -75,9 +74,9 @@ def _transposed(state: PureState, i: int) -> PureState:
     return permute_qubits(state, QubitPermutation.transposition(state.n, 1, i))
 
 
-def compute_TPQ(state: PureState, counter=None) -> TPQ:
-    """The three reduced sums for the tangle with respect to qubit 1; the
-    counter, if given, tallies their 2**n amplitude products."""
+def compute_TPQ(state: PureState) -> TPQ:
+    """The three reduced sums for the tangle with respect to qubit 1, one
+    amplitude product per term of ``_terms(n)``."""
     n = state.n
     if n < 2:
         raise ValueError(f"T/P/Q need n >= 2, got n={n}")
@@ -85,21 +84,11 @@ def compute_TPQ(state: PureState, counter=None) -> TPQ:
     a = state.amps
     half = 1 << (n - 1)
     T, P, Q = np.add.reduceat(a[left] * a[right] * weight, [0, half, half + (half >> 1)])
-    if counter is not None:
-        # one amplitude product per term; the sign and factor-2 scalings
-        # are not tallied
-        counter.add(left.size)
     return TPQ(complex(T), complex(P), complex(Q))
 
 
-def tangle_1_fast(state: PureState) -> float:
-    """4|T^2 - PQ|, the tangle with respect to qubit 1."""
-    check_odd_n(state.n)
-    return _tau(compute_TPQ(state))
-
-
 def tangle_i_fast(state: PureState, i: int) -> float:
-    """Tangle with respect to qubit i (1-based)."""
+    """4|T^2 - PQ|, the tangle with respect to qubit i (1-based)."""
     check_odd_n(state.n)
     check_qubit_index(state.n, i)
     return _tau(compute_TPQ(_transposed(state, i)))

@@ -13,7 +13,10 @@ round-trip exactly through the text form, signed zeros included.  Both
 writers share one path: the bytes are those of one `json.dumps` of the
 whole document plus a newline, encoded by json's C encoder in blocks of
 whole rows of at most BLOCK_ENTRIES entries, so no Python list of the
-whole array is built.  Both loaders share one path and raise
+whole array is built.  The loaders do build one: `json.load` returns the
+whole document as nested Python lists, and loading peaks at about 12x the
+array's 16 * 2**n bytes under tracemalloc (24.2 MiB at n=17, so about
+3 GiB at MAX_QUBITS).  Both loaders share one path and raise
 StateFileError (CLI exit 2) on a file that cannot be opened, is not UTF-8,
 is not JSON or nests too deeply to decode; on a wrong version, kind or
 shape, an `n` that is not an integer in 1..MAX_QUBITS (`true` included),

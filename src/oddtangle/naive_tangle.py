@@ -36,8 +36,9 @@ def check_oracle_size(n: int) -> None:
         raise ValueError(f"n={n} exceeds the oracle limit of {ORACLE_MAX_QUBITS} qubits")
 
 
-def _w_pattern_pruned(amps, n: int, i: int, counter=None) -> complex:
-    """W-sum with qubit i singled out, skipping tuples with a zero epsilon.
+def _w_pattern_pruned(amps, n: int, i: int) -> tuple[complex, int]:
+    """(W, products): the W-sum with qubit i singled out, skipping tuples
+    with a zero epsilon, and the amplitude products its loop ran.
 
     Surviving tuples: beta and delta complement alpha and gamma on every
     qubit except i, gamma_i complements alpha_i and delta_i complements
@@ -75,13 +76,12 @@ def _w_pattern_pruned(amps, n: int, i: int, counter=None) -> complex:
                 sign = eps_rest * epsilon(beta_i, 1 - beta_i)
                 total += sign * (ag * (a[beta] * a[delta]))
                 terms += 1
-    if counter is not None:
-        counter.add(3 * terms)
-    return total
+    return total, 3 * terms
 
 
-def _w_pattern_literal(amps, n: int, i: int, counter=None) -> complex:
-    """Literal quadruple sum over all 2**(4n) tuples (debug mode, n <= 3).
+def _w_pattern_literal(amps, n: int, i: int) -> tuple[complex, int]:
+    """(W, products) by the literal quadruple sum over all 2**(4n) tuples
+    (debug mode, n <= 3).
 
     Every tuple multiplies its four amplitudes before the epsilon product is
     examined, so the multiplication tally is exactly 3 * 2**(4n).
@@ -113,14 +113,11 @@ def _w_pattern_literal(amps, n: int, i: int, counter=None) -> complex:
                             break
                     if eps:
                         total += eps * prod
-    if counter is not None:
-        counter.add(mults)
-    return total
+    return total, mults
 
 
-def tangle_i_naive(state: PureState, i: int, full_sum: bool = False, counter=None) -> float:
-    """Tangle with respect to qubit i by the defining quadruple sum: 2|W^(i)|,
-    for odd n from 3 to ORACLE_MAX_QUBITS."""
+def _w_sum(state: PureState, i: int, full_sum: bool = False) -> tuple[complex, int]:
+    """(W^(i), products) for tangle_i_naive, after its checks."""
     n = state.n
     if n % 2 == 0:
         raise ValueError(f"n={n} is even; use wong_tangle_naive")
@@ -128,7 +125,13 @@ def tangle_i_naive(state: PureState, i: int, full_sum: bool = False, counter=Non
     check_qubit_index(n, i)
     check_oracle_size(n)
     kernel = _w_pattern_literal if full_sum else _w_pattern_pruned
-    return 2.0 * abs(kernel(state.amps, n, i, counter))
+    return kernel(state.amps, n, i)
+
+
+def tangle_i_naive(state: PureState, i: int, full_sum: bool = False) -> float:
+    """Tangle with respect to qubit i by the defining quadruple sum: 2|W^(i)|,
+    for odd n from 3 to ORACLE_MAX_QUBITS."""
+    return 2.0 * abs(_w_sum(state, i, full_sum)[0])
 
 
 def wong_tangle_naive(state: PureState) -> float:
@@ -139,7 +142,7 @@ def wong_tangle_naive(state: PureState) -> float:
     if n % 2 == 1:
         raise ValueError(f"n={n} is odd; use tangle_i_naive")
     check_oracle_size(n)
-    return 2.0 * abs(_w_pattern_pruned(state.amps, n, n))
+    return 2.0 * abs(_w_pattern_pruned(state.amps, n, n)[0])
 
 
 def find_noninvariance_witness(n: int, seed: int = 0):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fast_tangle import compute_TPQ, n_tangle, tangle_1_fast, tangle_i_fast
+from .fast_tangle import compute_TPQ, n_tangle, tangle_i_fast
 from .naive_tangle import WITNESS_THRESHOLD, find_noninvariance_witness, tangle_i_naive
 from .qstate import QubitPermutation, permute_qubits
 from .residual_forms import (
@@ -80,7 +80,7 @@ def oracle_error(states) -> float:
 def bridge_errors(states) -> tuple[float, float]:
     """Worst (bridge, rel_tau): bridge is the gap in I_bar = T, I_star = P/2,
     I_star_shift = Q/2 and between defining and reduced residual sums;
-    rel_tau the relative gap between residual_tau and tangle_1_fast."""
+    rel_tau the relative gap between residual_tau and tangle_i_fast(s, 1)."""
     bridge, rel_tau = [], []
     for s in states:
         tpq = compute_TPQ(s)
@@ -94,7 +94,7 @@ def bridge_errors(states) -> tuple[float, float]:
             abs(r.I_star - d.I_star),
             abs(r.I_star_shift - d.I_star_shift),
         ]
-        rt, ft = residual_tau(s), tangle_1_fast(s)
+        rt, ft = residual_tau(s), tangle_i_fast(s, 1)
         rel_tau.append(abs(rt - ft) / max(abs(rt), abs(ft), 1e-300))
     return worst_of(bridge), worst_of(rel_tau)
 
@@ -131,7 +131,7 @@ def three_tangle_spread(states) -> float:
     """Worst pairwise gap between the coefficient, oracle and fast 3-tangles."""
     def gaps():
         for s in states:
-            vals = [ckw_tangle(s), tangle_i_naive(s, 1), tangle_1_fast(s)]
+            vals = [ckw_tangle(s), tangle_i_naive(s, 1), tangle_i_fast(s, 1)]
             yield from (abs(x - y) for x in vals for y in vals)
 
     return worst_of(gaps())

@@ -19,7 +19,7 @@ from oddtangle.bench import (
     paper_naive_count,
 )
 from oddtangle.convex_roof import MixedState, convex_roof_tangle, decomposition_from_isometry
-from oddtangle.fast_tangle import n_tangle, tangle_1_fast
+from oddtangle.fast_tangle import n_tangle, tangle_i_fast
 from oddtangle.naive_tangle import find_noninvariance_witness, tangle_i_naive
 from oddtangle.qstate import permute_qubits
 from oddtangle.slocc_ops import random_local_invertible, random_local_unitary
@@ -215,7 +215,7 @@ def test_criterion_10_cost_claims():
     reps = 30
     t0 = time.perf_counter()
     for _ in range(reps):
-        tangle_1_fast(s)
+        tangle_i_fast(s, 1)
     fast_t = (time.perf_counter() - t0) / reps
     t0 = time.perf_counter()
     for _ in range(reps):

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -316,30 +318,34 @@ def test_roof_restart_statuses_on_the_ghz_w_line(p):
     assert result.value >= _ghz_w_roof(p) - 1e-9
 
 
-# n=5 lifts: every state in the range of rho3 (x) |phi><phi| is a product, so
-# roof = (3/5) tau_W(phi) roof3; with the roles swapped,
-# roof(|psi3><psi3| (x) sigma) = (3/5) tau(psi3) C(sigma)^2.  Both are taken in
-# one random local-unitary frame, which leaves the roof unchanged.
+# n=5 and n=7 lifts: every state in the range of rho3 (x) |phi><phi| is a
+# product, so roof = (3/n) tau_W(phi) roof3; with the roles swapped,
+# roof(|psi3><psi3| (x) sigma) = (3/5) tau(psi3) C(sigma)^2.  Each is taken in
+# the random local-unitary frame random_local_unitary(n, seed=11), which
+# leaves the roof unchanged.
 _BELL = PureState(2, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
-_LU5 = random_local_unitary(5, seed=11)
 
 
 def _lifted(members):
-    """sum_k p_k |chi_k><chi_k| for chi_k = LU5 (psi_k (x) phi_k)."""
-    return MixedState.from_ensemble(
-        5,
-        [
-            (p, apply_local_operators(PureState(5, np.kron(psi.amps, phi.amps)), _LU5))
-            for p, psi, phi in members
-        ],
-    )
+    """sum_k p_k |chi_k><chi_k| for chi_k = LU (psi_k (x) phi_k (x) ...),
+    members given as (p_k, psi_k, phi_k, ...) and LU the frame on all n
+    qubits."""
+    n = sum(f.n for f in members[0][1:])
+    frame = random_local_unitary(n, seed=11)
+    chis = [
+        (p, apply_local_operators(PureState(n, reduce(np.kron, [f.amps for f in fs])), frame))
+        for p, *fs in members
+    ]
+    return MixedState.from_ensemble(n, chis)
 
 
+@pytest.mark.parametrize("bells", [1, 2])
 @pytest.mark.parametrize("p", [0.5, 0.6, 0.68, 0.8, 0.9])
-def test_roof_ghz_w_times_bell_is_above_its_closed_form(p):
-    rho = _lifted([(p, ghz(3), _BELL), (1 - p, w(3), _BELL)])
+def test_roof_ghz_w_times_bell_is_above_its_closed_form(p, bells):
+    rho = _lifted([(p, ghz(3)) + (_BELL,) * bells, (1 - p, w(3)) + (_BELL,) * bells])
     value = convex_roof_tangle(rho, restarts=4, seed=0).value
-    assert value >= 0.6 * _ghz_w_roof(p) - 1e-9  # lower would mean a wrong objective
+    n = 3 + 2 * bells
+    assert value >= 3 / n * _ghz_w_roof(p) - 1e-9  # lower would mean a wrong objective
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oddtangle.fast_tangle import compute_TPQ, n_tangle, tangle_1_fast, tangle_i_fast
+from oddtangle.fast_tangle import compute_TPQ, n_tangle, tangle_i_fast
 from oddtangle.naive_tangle import tangle_i_naive, wong_tangle_naive
 from oddtangle.qstate import PureState, QubitPermutation, apply_local_operators, permute_qubits
 from oddtangle.slocc_ops import random_local_unitary
@@ -32,18 +32,19 @@ def test_tpq_zero_ket():
 
 def test_tangle_1_anchors_all_odd_n():
     for n in (3, 5, 7, 9):
-        assert tangle_1_fast(ghz(n)) == pytest.approx(1.0, abs=1e-12)
-        assert tangle_1_fast(w(n)) == pytest.approx(0.0, abs=1e-14)
+        assert tangle_i_fast(ghz(n), 1) == pytest.approx(1.0, abs=1e-12)
+        assert tangle_i_fast(w(n), 1) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_tangle_1_rejects_even_n():
     with pytest.raises(ValueError):
-        tangle_1_fast(ghz(4))
+        tangle_i_fast(ghz(4), 1)
 
 
 def test_tangle_i_identity_transposition():
     s = random_pure(5, seed=0)
-    assert tangle_i_fast(s, 1) == tangle_1_fast(s)
+    tpq = compute_TPQ(s)
+    assert tangle_i_fast(s, 1) == 4.0 * abs(tpq.T * tpq.T - tpq.P * tpq.Q)
 
 
 def test_tangle_i_ghz7_every_qubit():

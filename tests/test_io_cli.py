@@ -402,6 +402,8 @@ def test_cli_perm_check_from_file(tmp_path, capsys):
         ("perm-check --trials 50", "--trials applies only above n=5"),
         ("perm-check --n 3 --trials 5", "--trials applies only above n=5"),
         ("perm-check --state r5.json --trials 5", "--trials applies only above n=5"),
+        ("perm-check --state r5.json --seed 7", "--seed applies only without --state or above n=5"),
+        ("roof --density rho.json --restarts 0 --seed 9", "--seed applies only with --restarts above 0"),
     ],
 )
 def test_cli_flag_the_command_would_ignore_is_an_input_error(
@@ -421,7 +423,18 @@ def test_cli_flags_left_unset_keep_their_defaults(tmp_path, capsys):
     zero = _gen(tmp_path, "b.json", "--type", "random", "--n", "5", "--seed", "0")
     assert open(unset).read() == open(zero).read()
     assert main(["perm-check", "--n", "7"]) == EXIT_OK
-    assert capsys.readouterr().out.startswith("permutations 50 ")
+    out = capsys.readouterr().out
+    assert out.startswith("permutations 50 ")
+    # perm-check and roof draw seed 0 if --seed is not given
+    assert main(["perm-check", "--n", "7", "--seed", "0"]) == EXIT_OK
+    assert capsys.readouterr().out == out
+    rho = str(tmp_path / "rho.json")
+    save_density(MixedState.from_ensemble(3, [(0.8, ghz(3)), (0.2, w(3))]), rho)
+    roof = ["roof", "--density", rho, "--restarts", "1"]
+    assert main(roof) == EXIT_OK
+    out = capsys.readouterr().out
+    assert main(roof + ["--seed", "0"]) == EXIT_OK
+    assert capsys.readouterr().out == out
 
 
 def test_cli_perm_check_scales_with_the_state(tmp_path, capsys):

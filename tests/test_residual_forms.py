@@ -1,6 +1,6 @@
 import pytest
 
-from oddtangle.fast_tangle import compute_TPQ, n_tangle, tangle_1_fast
+from oddtangle.fast_tangle import compute_TPQ, n_tangle, tangle_i_fast
 from oddtangle.qstate import PureState, QubitPermutation, permute_qubits
 from oddtangle.residual_forms import (
     residual_parts_defining,
@@ -77,7 +77,7 @@ def test_residual_tau_equals_fast(n):
     for seed in range(10):
         s = random_pure(n, seed=200 + seed)
         rt = residual_tau(s)
-        ft = tangle_1_fast(s)
+        ft = tangle_i_fast(s, 1)
         assert abs(rt - ft) <= 1e-11 * max(abs(rt), abs(ft))
         d = residual_parts_defining(s)
         rt_def = 4.0 * abs(d.I_bar**2 - 4.0 * d.I_star * d.I_star_shift)

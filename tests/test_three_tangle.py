@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oddtangle.fast_tangle import tangle_1_fast
+from oddtangle.fast_tangle import tangle_i_fast
 from oddtangle.qstate import PureState, QubitPermutation, permute_qubits
 from oddtangle.residual_forms import residual_tau
 from oddtangle.stategen import basis_product, ghz, random_pure, w
@@ -76,7 +76,7 @@ def test_three_formulas_agree():
     for seed in range(50):
         s = random_pure(3, seed=seed)
         a = ckw_tangle(s)
-        b = tangle_1_fast(s)
+        b = tangle_i_fast(s, 1)
         c = residual_tau(s)
         assert abs(a - b) < 1e-10
         assert abs(b - c) < 1e-10
