@@ -13,10 +13,18 @@ round-trip exactly through the text form, signed zeros included.  Both
 writers share one path: the bytes are those of one `json.dumps` of the
 whole document plus a newline, encoded by json's C encoder in blocks of
 whole rows of at most BLOCK_ENTRIES entries, so no Python list of the
-whole array is built.  The loaders do build one: `json.load` returns the
-whole document as nested Python lists, and loading peaks at about 12x the
-array's 16 * 2**n bytes under tracemalloc (24.2 MiB at n=17, so about
-3 GiB at MAX_QUBITS).  Both loaders share one path and raise
+whole array is built.
+
+Both loaders share one path too, and never hold the whole text or the
+whole array as Python lists: the file is read BLOCK_CHARS characters at a
+time, the top-level object is walked with json's own string and value
+decoders, and the array is decoded by json.loads in blocks of whole rows,
+each turned into a float64 array before the next is read.  They accept
+and decode every file that json.load does, to the same values.  Loading
+a state peaks at 2.5x the array's 16 * 2**n bytes under tracemalloc at
+n = 15, 17 and 19 (5.0 MiB at n=17), so about 640 MiB at MAX_QUBITS: 2x
+while the blocks are joined, then PureState's copy and checks; a density
+peaks at about 4x (n = 7 and 9), from MixedState's checks.  Both raise
 StateFileError (CLI exit 2) on a file that cannot be opened, is not UTF-8,
 is not JSON or nests too deeply to decode; on a wrong version, kind or
 shape, an `n` that is not an integer in 1..MAX_QUBITS (`true` included),
@@ -28,6 +36,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
+from json.decoder import scanstring
 
 import numpy as np
 
@@ -36,30 +46,203 @@ from .qstate import MAX_QUBITS, PureState
 
 FORMAT_VERSION = 1
 BLOCK_ENTRIES = 4096  # complex entries per json.dumps call in _save
+BLOCK_CHARS = 1 << 16  # characters read at a time, and least text per json.loads, in _load
 
 
 class StateFileError(ValueError):
     """Malformed or inconsistent state/density file."""
 
 
-def _pairs(raw, shape: tuple, where: str) -> np.ndarray:
-    """Complex array of `shape` from nested lists of JSON [re, im] pairs,
-    each entry bit for bit complex(re, im), signed zeros included."""
+_DECODER = json.JSONDecoder()
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's, as json.decoder skips it
+# where a top-level row of an ndim-axis array of [re, im] pairs may end:
+# ndim closing brackets and a comma
+_ROW_ENDS = {
+    ndim: re.compile(r"[ \t\n\r]*".join([r"\]"] * ndim + [","])) for ndim in (1, 2)
+}
+
+
+class _Text:
+    """The text of an open file, read in chunks as decoding moves on: `buf`
+    holds it from the position `pos` on, so the whole text is never held."""
+
+    def __init__(self, fh, path: str):
+        self.fh, self.path = fh, path
+        self.buf, self.pos, self.eof = "", 0, False
+        # characters and newlines before buf[0], and the start of its line
+        self.offset = self.lines = self.line_start = 0
+
+    def more(self) -> bool:
+        """Drop the text before pos and append the next chunk: BLOCK_CHARS,
+        or as much as is left in buf, so a value that spans chunks is
+        re-decoded only O(log) times.  False at end of file."""
+        if self.eof:
+            return False
+        newlines = self.buf.count("\n", 0, self.pos)
+        if newlines:
+            self.lines += newlines
+            self.line_start = self.offset + self.buf.rindex("\n", 0, self.pos) + 1
+        self.offset += self.pos
+        chunk = self.fh.read(max(BLOCK_CHARS, len(self.buf) - self.pos))
+        self.buf, self.pos, self.eof = self.buf[self.pos:] + chunk, 0, not chunk
+        return not self.eof
+
+    def peek(self) -> str:
+        """Skip whitespace; the next character, or "" at end of file."""
+        while True:
+            self.pos = _WHITESPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or not self.more():
+                return self.buf[self.pos:self.pos + 1]
+
+    def value(self, decode):
+        """decode(buf, pos) -> (value, end) at the next character, read on
+        until the value is whole.  A number cut short by the end of buf still
+        decodes ("1." of "1.5e+7" as 1), so 3 characters must follow it."""
+        self.peek()
+        while True:
+            try:
+                value, end = decode(self.buf, self.pos)
+                if end + 2 < len(self.buf) or self.eof:
+                    self.pos = end
+                    return value
+            except json.JSONDecodeError as exc:
+                if self.eof:
+                    raise self.error(exc.msg, exc.pos) from None
+            self.more()
+
+    def row_end(self, skip: int, pattern):
+        """The first match of pattern at or after pos + skip, or None."""
+        while True:
+            match = pattern.search(self.buf, self.pos + skip)
+            if match or not self.more():
+                return match
+
+    def error(self, msg: str, at: int) -> StateFileError:
+        """The error at buf[at], placed in the file as json places it."""
+        line = self.lines + self.buf.count("\n", 0, at) + 1
+        newline = self.buf.rfind("\n", 0, at)
+        column = at - newline if newline >= 0 else self.offset + at - self.line_start + 1
+        where = f"line {line} column {column} (char {self.offset + at})"
+        return StateFileError(f"cannot read {self.path}: {msg}: {where}")
+
+
+def _block(rows: list, ndim: int) -> np.ndarray:
+    """float64 array of decoded rows, each entry bit for bit float(re) or
+    float(im), signed zeros included; ValueError if an entry is not a
+    number."""
     try:
-        x = np.asarray(raw, dtype=np.float64)
+        x = np.asarray(rows, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise StateFileError(f"{where}: expected a [re, im] pair of numbers ({exc})") from exc
+        raise ValueError(f"expected a [re, im] pair of numbers ({exc})") from None
+    if x.ndim == ndim + 1:  # otherwise _values refuses the shape
+        # numpy also converts bools, None and numeric strings; JSON numbers
+        # arrive as int or float (bool is a subclass of int, hence exact types)
+        flat = rows
+        for _ in range(ndim):
+            flat = itertools.chain.from_iterable(flat)
+        bad = set(map(type, flat)) - {int, float}
+        if bad:
+            names = ", ".join(sorted(t.__name__ for t in bad))
+            raise ValueError(f"expected a [re, im] pair of numbers, found {names}")
+    return x
+
+
+def _piece(text: _Text, pattern) -> tuple:
+    """The rows of the array from text.pos to the first row end at least
+    BLOCK_CHARS on, or, if none follows, to the array's end: (rows, where
+    the next piece starts or the array ends, whether it ends)."""
+    skip = BLOCK_CHARS
+    while True:
+        end = text.row_end(skip, pattern)
+        if not end:
+            try:
+                rows, stop = _DECODER.raw_decode("[" + text.buf[text.pos:])
+            except json.JSONDecodeError as exc:
+                raise text.error(exc.msg, text.pos + exc.pos - 1) from None
+            return rows, text.pos + stop - 1, True
+        piece = text.buf[text.pos:end.end() - 1]
+        try:
+            return json.loads("[" + piece + "]"), end.end(), False
+        except json.JSONDecodeError:
+            skip = 2 * len(piece)
+
+
+def _rows(text: _Text, ndim: int) -> tuple:
+    """Decode the array at text.pos in blocks of whole top-level rows, as
+    (float64 blocks, None), or ([], message) if an entry is not a number.
+    A block is cut at a row end only; with rows of number pairs no other
+    text matches.  A piece that does not decode as whole rows holds the
+    array's end or cuts through an entry that is not a number pair, so it
+    is doubled until it decodes, or until no row end follows and the rest
+    is decoded up to the array's end: every file decodes as json.loads
+    decodes it."""
+    pattern = _ROW_ENDS[ndim]
+    blocks, problem, first = [], None, True
+    text.pos += 1  # past "["
+    while True:
+        rows, after, last = _piece(text, pattern)
+        if last and not rows and not first:  # "[..., ]"
+            raise text.error("Expecting value", _WHITESPACE.match(text.buf, text.pos).end())
+        if problem is None:
+            try:
+                blocks.append(_block(rows, ndim))
+            except ValueError as exc:
+                blocks, problem = [], str(exc)
+        del rows  # before the next piece is decoded
+        text.pos, first = after, False
+        if last:
+            return blocks, problem
+
+
+def _document(text: _Text, key: str, ndim: int):
+    """The file's JSON value, as json.loads gives it, except that the array
+    of each `key` member of a top-level object is decoded by _rows."""
+    if text.peek() == "\ufeff":
+        raise text.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+    if text.peek() != "{":
+        doc = text.value(_DECODER.raw_decode)
+    else:
+        doc = {}
+        text.pos += 1
+        if text.peek() == "}":
+            text.pos += 1
+        else:
+            while True:
+                if text.peek() != '"':
+                    raise text.error("Expecting property name enclosed in double quotes", text.pos)
+                name = text.value(lambda s, i: scanstring(s, i + 1))
+                if text.peek() != ":":
+                    raise text.error("Expecting ':' delimiter", text.pos)
+                text.pos += 1
+                if name == key and text.peek() == "[":
+                    doc[name] = _rows(text, ndim)
+                else:
+                    doc[name] = text.value(_DECODER.raw_decode)
+                sep = text.peek()
+                if sep == "}":
+                    text.pos += 1
+                    break
+                if sep != ",":
+                    raise text.error("Expecting ',' delimiter", text.pos)
+                text.pos += 1
+    if text.peek():
+        raise text.error("Extra data", text.pos)
+    return doc
+
+
+def _values(rows, shape: tuple, where: str) -> np.ndarray:
+    """Complex array of `shape` from what _rows returned."""
+    if not isinstance(rows, tuple):
+        raise StateFileError(f"{where}: expected an array of [re, im] pairs")
+    blocks, problem = rows
+    if problem:
+        raise StateFileError(f"{where}: {problem}")
+    try:
+        x = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+    except ValueError:
+        raise StateFileError(f"{where}: expected {shape} [re, im] pairs, got rows of unequal shapes") from None
     if x.shape != shape + (2,):
         raise StateFileError(f"{where}: expected {shape} [re, im] pairs, got shape {x.shape}")
-    # numpy also converts bools, None and numeric strings; JSON numbers
-    # arrive as int or float (bool is a subclass of int, hence exact types)
-    flat = raw
-    for _ in shape:
-        flat = itertools.chain.from_iterable(flat)
-    bad = set(map(type, flat)) - {int, float}
-    if bad:
-        names = ", ".join(sorted(t.__name__ for t in bad))
-        raise StateFileError(f"{where}: expected a [re, im] pair of numbers, found {names}")
     return x.view(np.complex128).reshape(shape)
 
 
@@ -68,7 +251,7 @@ def _load(path: str, kind: str, key: str, ndim: int, make):
     axes) [re, im] pairs."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = _document(_Text(fh, path), key, ndim)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -82,7 +265,8 @@ def _load(path: str, kind: str, key: str, ndim: int, make):
     # exact type: bool is a subclass of int
     if type(n) is not int or not 1 <= n <= MAX_QUBITS:
         raise StateFileError(f"{path}: bad qubit count {n!r}, need 1..{MAX_QUBITS}")
-    values = _pairs(doc.get(key), (2**n,) * ndim, f"{path}: {key}")
+    # the blocks are dropped here, so make's copy is the only other array
+    values = _values(doc.pop(key, None), (2**n,) * ndim, f"{path}: {key}")
     try:
         return make(n, values)
     except ValueError as exc:

@@ -17,9 +17,8 @@ DEFAULT_NORM_TOL = 1e-9
 # Largest qubit count the state generators and file loaders accept.  A
 # state holds 2**n complex doubles (256 MiB at n=24), and the T/P/Q kernel
 # needs several more arrays of that length; n=21 takes well under 1 GiB.
-# Loading a state file costs more: io's loaders peak at about 12x the
-# array (3 GiB at n=24), because json.load builds the whole document as
-# Python lists.
+# Loading a state file peaks at 2.5x the array (about 640 MiB at n=24):
+# io decodes the file in blocks of rows, and PureState copies the result.
 MAX_QUBITS = 24
 
 # Bounds on a state's squared norm N: MIN_SQUARED_NORM <= N < MAX_SQUARED_NORM.

@@ -1,5 +1,7 @@
+import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +23,7 @@ from oddtangle.io import (
     save_density,
     save_state,
 )
-from oddtangle.stategen import ghz, random_pure, w
+from oddtangle.stategen import basis_product, ghz, random_pure, w
 
 
 # ---------------------------------------------------------------- file I/O
@@ -85,6 +87,170 @@ def test_save_state_memory_stays_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * state.amps.nbytes  # 2 x 16 * 2**16 bytes
+
+
+def test_load_state_memory_stays_bounded(tmp_path):
+    # the file's text and its nested lists (12x when json.load built them)
+    # are never held whole
+    state = random_pure(16, seed=1)
+    path = str(tmp_path / "s.json")
+    save_state(state, path)
+    tracemalloc.start()
+    try:
+        load_state(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * state.amps.nbytes
+
+
+# Files that span several of the loaders' blocks (oddtangle.io.BLOCK_CHARS
+# characters): a state of 2**13 entries and a density of 2**7 x 2**7.
+
+
+def _number(x: float, k: int) -> str:
+    """x as an integer where it is one (but -0.0), else in one of three
+    forms by k: repr, or 17 digits with a lower- or upper-case exponent."""
+    if x.is_integer() and not (x == 0 and str(x).startswith("-")):
+        return str(int(x))
+    return (repr(x), format(x, ".16e"), format(x, ".16E"))[k % 3]
+
+
+@functools.cache
+def _many_blocks(kind):
+    """(key, n, values, top-level rows of the key array as JSON text)."""
+    if kind == "state":
+        key, values = "amplitudes", random_pure(13, seed=13).amps.copy()
+        values[::97] = [complex(k % 3 - 1, k % 5) for k in range(len(values[::97]))]
+        values[5] = complex(-0.0, -0.0)
+    else:
+        key, psi = "matrix", random_pure(7, seed=7).amps
+        values = 0.75 * np.outer(psi, psi.conj()) + 0.25 * np.outer(ghz(7).amps, ghz(7).amps)
+    pairs = values.view(np.float64).reshape(-1, 2).tolist()
+    entries = [
+        f"[{_number(re, 2 * k)},{' ' * (k % 3)}{_number(im, 2 * k + 1)}]"
+        for k, (re, im) in enumerate(pairs)
+    ]
+    if kind == "density":
+        width = len(values)
+        entries = ["[" + ", ".join(entries[i:i + width]) + "]" for i in range(0, len(entries), width)]
+    return key, int(np.log2(len(values))), values, entries
+
+
+_LOAD = {
+    "state": (lambda p: load_state(p).amps, "compute --state"),
+    "density": (lambda p: load_density(p).matrix, "roof --density"),
+}
+
+
+@pytest.mark.parametrize("form", ["indent", "keys_reordered_and_extra", "duplicate_key", "number_forms"])
+@pytest.mark.parametrize("kind", ["state", "density"])
+def test_loaders_match_json_on_files_of_several_blocks(tmp_path, kind, form):
+    key, n, values, rows = _many_blocks(kind)
+    head = f'"format_version": 1, "kind": "{kind}", "n": {n}'
+    body = ",\n ".join(rows)
+    pairs = values.view(np.float64).reshape(values.shape + (2,)).tolist()
+    text = {
+        "indent": json.dumps({"format_version": 1, "kind": kind, "n": n, key: pairs}, indent=1),
+        # the extra array after `key` holds row ends too
+        "keys_reordered_and_extra": (
+            f'{{"note": "x], y]],", "{key}": [{body}], "extra": [[1, 2], [3, 4]],'
+            f' "n": {n}, "kind": "{kind}", "format_version": 1, "more": {{"a": [[0]]}}}}'
+        ),
+        "duplicate_key": f'{{"{key}": [[[1, 0]]], {head}, "{key}": [{body}]}}',
+        "number_forms": f'{{{head},\r\n\t"{key}" :\t[ {body} ] }}\n',
+    }[form]
+    assert len(text) > 4 * oddtangle.io.BLOCK_CHARS
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    expected = np.asarray(json.loads(text)[key], dtype=np.float64)
+    assert _LOAD[kind][0](str(path)).tobytes() == expected.tobytes()  # bits, so -0.0 != 0.0
+
+
+_SMALL_FILES = {
+    "state": (
+        '{"amplitudes": [[9, 9]], "extra": [[1, 2], [3e0, -4.5E-1]], "amplitudes" :'
+        ' [ [0.5, -0.0] ,[1e-1,0],\n [-2, 0.25], [1.5e+0, 3]], "note": "a], b]],",'
+        ' "n": 2, "kind": "state", "format_version": 1, "z": 1.5e+3}\n'
+    ),
+    "density": (
+        '{"format_version": 1, "n": 1, "matrix": [[[0.5, 0], [0.25, -0.125]],\r\n'
+        ' [[0.25, 0.125] , [0.5, -0.0]] ], "kind": "density", "w": -1.25e-2}'
+    ),
+}
+_SMALL_FAULTS = [
+    ("[0.5, -0.0] ,", "[[0.5, -0.0], [1, 0]] ,"),  # a nested row
+    ("[1e-1,0],", "[1e-1,0]"),  # a missing comma
+    ("[1.5e+0, 3]]", "[1.5e+0, 3], ]"),  # a trailing comma
+    ("1.5e+3}", "1.5e+}"),  # a bad number after the array
+    ("[0.25, -0.125]],", "[0.25, -0.125]]]"),  # the density's array ends early
+]
+
+
+@pytest.mark.parametrize("kind", ["state", "density"])
+def test_loaders_decode_alike_wherever_blocks_and_chunks_end(tmp_path, monkeypatch, kind):
+    # every block size from 1 character to the whole text, so that a chunk
+    # or a block ends at every place once
+    key = "amplitudes" if kind == "state" else "matrix"
+    load = _LOAD[kind][0]
+    text = _SMALL_FILES[kind]
+    expected = np.asarray(json.loads(text)[key], dtype=np.float64).tobytes()
+    broken = [text.replace(a, b) for a, b in _SMALL_FAULTS if a in text]
+    path = tmp_path / "f.json"
+    messages = []
+    for t in broken:
+        path.write_text(t)
+        with pytest.raises(StateFileError) as caught:
+            load(str(path))
+        # a syntax error is placed alike; what an entry error says of its
+        # shape depends on the rows decoded with it
+        message = str(caught.value)
+        messages.append(message if "cannot read" in message else f"{path}: {key}: expected")
+    for size in range(1, len(text) + 1):
+        monkeypatch.setattr(oddtangle.io, "BLOCK_CHARS", size)
+        path.write_text(text)
+        assert load(str(path)).tobytes() == expected, size
+        for t, message in zip(broken, messages):
+            path.write_text(t)
+            with pytest.raises(StateFileError, match=re.escape(message)):
+                load(str(path))
+
+
+_BAD_ENTRIES = {
+    "true": "[true, 0]",
+    "null": "[null, 0]",
+    "string": '["x", 0]',
+    "bracket_in_string": '["a]", 0]',
+    "three_entries": "[1, 0, 0]",
+    "nested": "[[1, 0], [0, 0]]",
+}
+
+
+@pytest.mark.parametrize("fault", [*_BAD_ENTRIES, "missing_comma", "unterminated"])
+@pytest.mark.parametrize("kind", ["state", "density"])
+def test_loaders_reject_a_bad_entry_after_the_first_block(tmp_path, capsys, kind, fault):
+    key, n, _, rows = _many_blocks(kind)
+    k = 3 * len(rows) // 4  # the faulty row
+    assert len(", ".join(rows[:k])) > oddtangle.io.BLOCK_CHARS
+    head = f'{{"format_version": 1, "kind": "{kind}", "n": {n}, "{key}": ['
+    if fault in _BAD_ENTRIES:
+        entry = rows[k] if kind == "state" else rows[k][1:rows[k].index("]") + 1]
+        rows = rows[:k] + [rows[k].replace(entry, _BAD_ENTRIES[fault], 1)] + rows[k + 1:]
+    elif fault == "missing_comma":
+        rows = rows[:k] + [rows[k] + " " + rows[k + 1]] + rows[k + 2:]
+    text = head + ", ".join(rows) + "]}\n"
+    if fault == "unterminated":
+        text = head + ", ".join(rows[:k])
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    load, command = _LOAD[kind]
+    with pytest.raises(StateFileError):
+        load(str(path))
+    assert main([*command.split(), str(path)]) == EXIT_INPUT_ERROR
+    # a syntax error is placed in the file; an entry error names the array
+    syntax = fault in ("missing_comma", "unterminated")
+    prefix = f"error: cannot read {path}: " if syntax else f"error: {path}: {key}: "
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 @pytest.mark.parametrize(
@@ -475,6 +641,20 @@ def test_cli_roof_zero_restarts_reports_the_eigendecomposition(tmp_path, capsys)
     assert lines[2] == "evaluations 1"
 
 
+def test_cli_roof_seed_goes_unused_when_the_eigendecomposition_is_already_zero(tmp_path, capsys):
+    # the ignored-flag rule is checked on the arguments: an equal mixture of
+    # |000> and |111> is at ROOF_ZERO_TOL before any restart runs
+    rho_path = str(tmp_path / "sep.json")
+    mixture = [(0.5, basis_product(3, (0, 0, 0))), (0.5, basis_product(3, (1, 1, 1)))]
+    save_density(MixedState.from_ensemble(3, mixture), rho_path)
+    outputs = []
+    for seed in ("0", "5"):
+        assert main(["roof", "--density", rho_path, "--restarts", "4", "--seed", seed]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[1] == "restarts 0 converged False"
+
+
 def test_cli_roof_does_not_import_scipy(tmp_path):
     rho_path = str(tmp_path / "rho.json")
     save_density(MixedState.from_ensemble(3, [(0.8, ghz(3)), (0.2, w(3))]), rho_path)
@@ -558,8 +738,9 @@ _DEEP = b"[" * 100000 + b"]" * 100000
         ("--density", b'{"format_version": 1, "kind": "density", "n": 1, "matrix": ' + _DEEP + b"}"),
         ("--state", b"\xff\xfe\x00garbage"),
         ("--density", b"\xff\xfe\x00garbage"),
+        ("--state", b'\xef\xbb\xbf{"format_version": 1, "kind": "state", "n": 1, "amplitudes": [[1, 0], [0, 0]]}'),
     ],
-    ids=["deep-state", "deep-amplitudes", "deep-matrix", "not-utf8-state", "not-utf8-density"],
+    ids=["deep-state", "deep-amplitudes", "deep-matrix", "not-utf8-state", "not-utf8-density", "bom"],
 )
 def test_cli_undecodable_file_is_an_input_error(tmp_path, capsys, flag, content):
     path = tmp_path / "bad.json"
