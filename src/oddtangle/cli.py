@@ -81,7 +81,7 @@ def _cmd_gen(args):
         state = random_pure(args.n, seed=0 if args.seed is None else args.seed)
     else:
         if args.bits is None:
-            raise StateFileError("basis states need --bits")
+            raise ValueError("basis states need --bits")
         if not set(args.bits) <= set("01"):
             raise ValueError(f"--bits must be a string of 0s and 1s, got {args.bits!r}")
         state = basis_product(args.n, [int(ch) for ch in args.bits])
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         text, code = args.func(args)
-        if text is not None and args.out:
+        if text is not None and args.out is not None:
             try:
                 with open(args.out, "w") as fh:
                     fh.write(text)

@@ -18,13 +18,18 @@ whole array is built.
 Both loaders share one path too, and never hold the whole text or the
 whole array as Python lists: the file is read BLOCK_CHARS characters at a
 time, the top-level object is walked with json's own string and value
-decoders, and the array is decoded by json.loads in blocks of whole rows,
-each turned into a float64 array before the next is read.  They accept
-and decode every file that json.load does, to the same values.  Loading
-a state peaks at 2.5x the array's 16 * 2**n bytes under tracemalloc at
-n = 15, 17 and 19 (5.0 MiB at n=17), so about 640 MiB at MAX_QUBITS: 2x
-while the blocks are joined, then PureState's copy and checks; a density
-peaks at about 4x (n = 7 and 9), from MixedState's checks.  Both raise
+decoders, and an array is decoded by json.loads in blocks of whole rows,
+each turned into a float64 array before the next is read.  _KINDS names
+each kind's array member, its axes and its class; both members, and a
+bare top-level list, are decoded in blocks whichever loader runs, so a
+file of the other kind or a bare list peaks at 1.13x (n=9 density to
+load_state) and 1.27x (n=17 state to load_density, or a bare list of 2**17
+pairs to load_state) before it is refused.  They accept and decode
+every file that json.load does, to the same values.  Loading a state
+peaks at 2.5x the array's 16 * 2**n bytes under tracemalloc at n = 15,
+17 and 19 (5.0 MiB at n=17), so about 640 MiB at MAX_QUBITS: 2x while the
+blocks are joined, then PureState's copy and checks; a density peaks at
+about 4x (n = 7 and 9), from MixedState's checks.  Both raise
 StateFileError (CLI exit 2) on a file that cannot be opened, is not UTF-8,
 is not JSON or nests too deeply to decode; on a wrong version, kind or
 shape, an `n` that is not an integer in 1..MAX_QUBITS (`true` included),
@@ -47,6 +52,8 @@ from .qstate import MAX_QUBITS, PureState
 FORMAT_VERSION = 1
 BLOCK_ENTRIES = 4096  # complex entries per json.dumps call in _save
 BLOCK_CHARS = 1 << 16  # characters read at a time, and least text per json.loads, in _load
+# kind: (array member, axes of [re, im] pairs, class)
+_KINDS = {"state": ("amplitudes", 1, PureState), "density": ("matrix", 2, MixedState)}
 
 
 class StateFileError(ValueError):
@@ -194,12 +201,14 @@ def _rows(text: _Text, ndim: int) -> tuple:
             return blocks, problem
 
 
-def _document(text: _Text, key: str, ndim: int):
-    """The file's JSON value, as json.loads gives it, except that the array
-    of each `key` member of a top-level object is decoded by _rows."""
+def _document(text: _Text):
+    """The file's JSON value, as json.loads gives it, except that a top-level
+    array, and each array member that _KINDS names, is decoded by _rows."""
     if text.peek() == "\ufeff":
         raise text.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
-    if text.peek() != "{":
+    if text.peek() == "[":
+        doc = _rows(text, 1)
+    elif text.peek() != "{":
         doc = text.value(_DECODER.raw_decode)
     else:
         doc = {}
@@ -214,7 +223,8 @@ def _document(text: _Text, key: str, ndim: int):
                 if text.peek() != ":":
                     raise text.error("Expecting ':' delimiter", text.pos)
                 text.pos += 1
-                if name == key and text.peek() == "[":
+                ndim = {key: ndim for key, ndim, _ in _KINDS.values()}.get(name)
+                if ndim and text.peek() == "[":
                     doc[name] = _rows(text, ndim)
                 else:
                     doc[name] = text.value(_DECODER.raw_decode)
@@ -246,12 +256,13 @@ def _values(rows, shape: tuple, where: str) -> np.ndarray:
     return x.view(np.complex128).reshape(shape)
 
 
-def _load(path: str, kind: str, key: str, ndim: int, make):
-    """make(n, values) for a `kind` file whose `key` holds 2**n x ... (ndim
-    axes) [re, im] pairs."""
+def _load(path: str, kind: str):
+    """make(n, values) for a `kind` file whose array member holds 2**n x ...
+    (ndim axes) [re, im] pairs, as _KINDS gives them."""
+    key, ndim, make = _KINDS[kind]
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = _document(_Text(fh, path), key, ndim)
+            doc = _document(_Text(fh, path))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -273,12 +284,13 @@ def _load(path: str, kind: str, key: str, ndim: int, make):
         raise StateFileError(f"{path}: {exc}") from exc
 
 
-def _save(path: str, kind: str, key: str, n: int, values: np.ndarray) -> None:
-    """Write values (2**n x ... complex) as the `key` of a `kind` file,
-    each entry a [re, im] pair of floats.  The text is that of one
+def _save(path: str, kind: str, n: int, values: np.ndarray) -> None:
+    """Write values (2**n x ... complex) as the array member of a `kind`
+    file, each entry a [re, im] pair of floats.  The text is that of one
     json.dumps of the document, encoded in blocks of whole rows (at most
     BLOCK_ENTRIES entries, or one row if a row is longer), because
     json.dump never uses the C encoder."""
+    key = _KINDS[kind][0]
     head = json.dumps({"format_version": FORMAT_VERSION, "kind": kind, "n": n, key: []})
     pairs = values.view(np.float64).reshape(values.shape + (2,))
     rows = max(1, BLOCK_ENTRIES // (values.size // len(values)))
@@ -292,16 +304,16 @@ def _save(path: str, kind: str, key: str, n: int, values: np.ndarray) -> None:
 
 
 def load_state(path: str) -> PureState:
-    return _load(path, "state", "amplitudes", 1, PureState)
+    return _load(path, "state")
 
 
 def save_state(state: PureState, path: str) -> None:
-    _save(path, "state", "amplitudes", state.n, state.amps)
+    _save(path, "state", state.n, state.amps)
 
 
 def load_density(path: str) -> MixedState:
-    return _load(path, "density", "matrix", 2, MixedState)
+    return _load(path, "density")
 
 
 def save_density(rho: MixedState, path: str) -> None:
-    _save(path, "density", "matrix", rho.n, rho.matrix)
+    _save(path, "density", rho.n, rho.matrix)

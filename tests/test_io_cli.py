@@ -104,6 +104,51 @@ def test_load_state_memory_stays_bounded(tmp_path):
     assert peak <= 6 * state.amps.nbytes
 
 
+def _write_wrong_kind_or_bare_list(path: str, case: str) -> tuple:
+    """Write the case's file; (its loader, its array's bytes, the message
+    that loader raises on it)."""
+    if case == "density_as_state":
+        rho = MixedState.from_ensemble(9, [(1.0, random_pure(9, seed=1))])
+        save_density(rho, path)
+        return load_state, rho.matrix.nbytes, f"{path}: kind is 'density', expected 'state'"
+    state = random_pure(16, seed=1)
+    if case == "state_as_density":
+        save_state(state, path)
+        return load_density, state.amps.nbytes, f"{path}: kind is 'state', expected 'density'"
+    with open(path, "w") as fh:  # as json.dump writes a bare list of pairs
+        json.dump(state.amps.view(np.float64).reshape(-1, 2).tolist(), fh)
+    return load_state, state.amps.nbytes, f"{path}: top-level value must be an object"
+
+
+@pytest.mark.parametrize("case", ["density_as_state", "state_as_density", "bare_list"])
+def test_wrong_kind_or_bare_list_memory_stays_bounded(tmp_path, case):
+    # either kind's array, and a top-level array, is decoded in row blocks
+    # before it is refused (21x the array when it was decoded whole)
+    path = str(tmp_path / "f.json")
+    load, nbytes, message = _write_wrong_kind_or_bare_list(path, case)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateFileError) as caught:
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == message
+    assert peak <= 2 * nbytes
+
+
+def test_state_file_with_a_matrix_member_loads_the_same_values(tmp_path):
+    # a density's member, before and after the amplitudes, over several blocks
+    state = random_pure(13, seed=13)
+    path = tmp_path / "s.json"
+    save_state(state, str(path))
+    text = path.read_text()
+    matrix = '"matrix": [[[1, 2], [3, 4]],\n [[5, 6], [7, 8]]]'
+    path.write_text(text.replace('"n": 13,', f'"n": 13, {matrix},').replace("]]}\n", f"]], {matrix}}}\n"))
+    assert len(path.read_text()) > 4 * oddtangle.io.BLOCK_CHARS
+    assert load_state(str(path)).amps.tobytes() == state.amps.tobytes()
+
+
 # Files that span several of the loaders' blocks (oddtangle.io.BLOCK_CHARS
 # characters): a state of 2**13 entries and a density of 2**7 x 2**7.
 
@@ -760,16 +805,18 @@ def test_cli_out_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, out",
     [
-        ["gen", "--type", "ghz", "--n", "3"],
-        ["compute", "--state", "{g3}"],
+        (["gen", "--type", "ghz", "--n", "3"], "{tmp}/missing/o.txt"),
+        (["compute", "--state", "{g3}"], "{tmp}/missing/o.txt"),
+        (["gen", "--type", "ghz", "--n", "3"], ""),
+        (["compute", "--state", "{g3}"], ""),
     ],
-    ids=["gen", "compute"],
+    ids=["gen", "compute", "gen_empty_out", "compute_empty_out"],
 )
-def test_cli_unwritable_out_is_an_input_error(tmp_path, capsys, argv):
+def test_cli_unwritable_out_is_an_input_error(tmp_path, capsys, argv, out):
     g3 = _gen(tmp_path, "g3.json", "--type", "ghz", "--n", "3")
-    out = str(tmp_path / "missing" / "o.txt")
+    out = out.format(tmp=tmp_path)
     assert main([a.format(g3=g3) for a in argv] + ["--out", out]) == EXIT_INPUT_ERROR
     assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
 
