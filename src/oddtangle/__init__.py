@@ -23,7 +23,6 @@ from .qstate import (
     apply_local_operators,
     index_of_bits,
     permute_qubits,
-    reduced_density_single,
 )
 from .residual_forms import (
     ResidualParts,
@@ -39,6 +38,6 @@ from .slocc_ops import (
     verify_slocc_equation,
 )
 from .stategen import basis_product, ghz, random_pure, w
-from .three_tangle import c_a_bc_squared, ckw_tangle
+from .three_tangle import ckw_tangle
 
 __version__ = "0.1.0"

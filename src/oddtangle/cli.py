@@ -2,9 +2,11 @@
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 input error,
 3 internal error.  Numeric fields print with 17 significant digits.  With
-one numpy build, tangles and T/P/Q values are identical whatever the BLAS
-thread count.  Their last digits, and those of the d2 line of tangle3,
-differ from release 0.1.0.
+one numpy build on one machine, tangles and T/P/Q values are identical
+whatever the BLAS thread count; across machines their last digits can
+differ with the CPU's SIMD dispatch level, and ``roof`` and the SLOCC
+checks are same-machine only.  The last digits of T/P/Q, and those of
+the d2 line of tangle3, differ from release 0.1.0.
 
 Each ``_cmd_*`` returns ``(text, exit_code)``; ``main`` writes the text to
 ``--out`` or to stdout.  ``gen`` writes its state file itself and returns
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io as _io
+import os
 import sys
 
 import numpy as np
@@ -317,6 +320,12 @@ def main(argv=None) -> int:
         # numpy's default_rng rejects a negative seed; refuse it before any work
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        # so is an --out in a missing directory; other write errors show on writing
+        if args.out:
+            try:
+                os.stat(os.path.dirname(args.out) or os.curdir)
+            except FileNotFoundError as exc:
+                raise _cannot_write(args.out, exc) from exc
         text, code = args.func(args)
         if text is not None and args.out is not None:
             try:

@@ -20,12 +20,15 @@ whole array as Python lists: the file is read BLOCK_CHARS characters at a
 time, the top-level object is walked with json's own string and value
 decoders, and an array is decoded by json.loads in blocks of whole rows,
 each turned into a float64 array before the next is read.  _KINDS names
-each kind's array member, its axes and its class; both members, and a
-bare top-level list, are decoded in blocks whichever loader runs, so a
-file of the other kind or a bare list peaks at 1.13x (n=9 density to
-load_state) and 1.27x (n=17 state to load_density, or a bare list of 2**17
-pairs to load_state) before it is refused.  They accept and decode
-every file that json.load does, to the same values.  Loading a state
+each kind's array member, its axes and its class.  Every array-valued
+member but format_version, kind and n, and a bare top-level list, is
+decoded in blocks whichever loader runs, and only the loader's own array
+is kept, so a file of the other kind or a bare list peaks at 1.13x (n=9
+density to load_state) and 1.27x (n=17 state to load_density, or a bare
+list of 2**17 pairs to load_state) before it is refused, and an extra
+member holding a copy of the amplitudes leaves a load's peak at 2.5x
+(n = 16 and 17).  They accept and decode every file that json.load does,
+to the same values.  Loading a state
 peaks at 2.5x the array's 16 * 2**n bytes under tracemalloc at n = 15,
 17 and 19 (5.0 MiB at n=17), so about 640 MiB at MAX_QUBITS: 2x while the
 blocks are joined, then PureState's copy and checks; a density peaks at
@@ -54,6 +57,8 @@ BLOCK_ENTRIES = 4096  # complex entries per json.dumps call in _save
 BLOCK_CHARS = 1 << 16  # characters read at a time, and least text per json.loads, in _load
 # kind: (array member, axes of [re, im] pairs, class)
 _KINDS = {"state": ("amplitudes", 1, PureState), "density": ("matrix", 2, MixedState)}
+_NDIMS = {key: ndim for key, ndim, _ in _KINDS.values()}
+_SCALARS = ("format_version", "kind", "n")  # the other members _load reads
 
 
 class StateFileError(ValueError):
@@ -156,8 +161,9 @@ def _block(rows: list, ndim: int) -> np.ndarray:
 
 def _piece(text: _Text, pattern) -> tuple:
     """The rows of the array from text.pos to the first row end at least
-    BLOCK_CHARS on, or, if none follows, to the array's end: (rows, where
-    the next piece starts or the array ends, whether it ends)."""
+    BLOCK_CHARS on, or to the array's end if it comes first or no row end
+    follows: (rows, where the next piece starts or the array ends, whether
+    it ends)."""
     skip = BLOCK_CHARS
     while True:
         end = text.row_end(skip, pattern)
@@ -171,6 +177,11 @@ def _piece(text: _Text, pattern) -> tuple:
         try:
             return json.loads("[" + piece + "]"), end.end(), False
         except json.JSONDecodeError:
+            pass
+        try:  # the array ends in the piece, and the row end is a later member's
+            rows, stop = _DECODER.raw_decode("[" + piece)
+            return rows, text.pos + stop - 1, True
+        except json.JSONDecodeError:
             skip = 2 * len(piece)
 
 
@@ -179,10 +190,10 @@ def _rows(text: _Text, ndim: int) -> tuple:
     (float64 blocks, None), or ([], message) if an entry is not a number.
     A block is cut at a row end only; with rows of number pairs no other
     text matches.  A piece that does not decode as whole rows holds the
-    array's end or cuts through an entry that is not a number pair, so it
-    is doubled until it decodes, or until no row end follows and the rest
-    is decoded up to the array's end: every file decodes as json.loads
-    decodes it."""
+    array's end, and is decoded up to it, or cuts through an entry that is
+    not a number pair, and is doubled until it decodes, or until no row end
+    follows and the rest is decoded up to the array's end: every file
+    decodes as json.loads decodes it."""
     pattern = _ROW_ENDS[ndim]
     blocks, problem, first = [], None, True
     text.pos += 1  # past "["
@@ -201,9 +212,10 @@ def _rows(text: _Text, ndim: int) -> tuple:
             return blocks, problem
 
 
-def _document(text: _Text):
+def _document(text: _Text, key: str):
     """The file's JSON value, as json.loads gives it, except that a top-level
-    array, and each array member that _KINDS names, is decoded by _rows."""
+    array, and each array member but format_version, kind and n, is decoded
+    by _rows, and an object keeps only those three members and `key`."""
     if text.peek() == "\ufeff":
         raise text.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
     if text.peek() == "[":
@@ -223,11 +235,13 @@ def _document(text: _Text):
                 if text.peek() != ":":
                     raise text.error("Expecting ':' delimiter", text.pos)
                 text.pos += 1
-                ndim = {key: ndim for key, ndim, _ in _KINDS.values()}.get(name)
-                if ndim and text.peek() == "[":
-                    doc[name] = _rows(text, ndim)
+                if text.peek() == "[" and name not in _SCALARS:
+                    value = _rows(text, _NDIMS.get(name, 1))
                 else:
-                    doc[name] = text.value(_DECODER.raw_decode)
+                    value = text.value(_DECODER.raw_decode)
+                if name == key or name in _SCALARS:
+                    doc[name] = value
+                del value  # an unread array's blocks, before the next member
                 sep = text.peek()
                 if sep == "}":
                     text.pos += 1
@@ -262,7 +276,7 @@ def _load(path: str, kind: str):
     key, ndim, make = _KINDS[kind]
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = _document(_Text(fh, path))
+            doc = _document(_Text(fh, path), key)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):

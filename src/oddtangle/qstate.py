@@ -185,15 +185,3 @@ def apply_local_operators(state: PureState, chain: LocalOperatorChain) -> PureSt
     for k in range(n):
         psi = np.moveaxis(np.tensordot(chain.ops[k], psi, axes=([1], [k])), 0, k)
     return PureState(n, psi.reshape(-1))
-
-
-def reduced_density_single(state: PureState, qubit: int) -> np.ndarray:
-    """Single-qubit reduced density matrix (partial trace over the rest)."""
-    check_qubit_index(state.n, qubit)
-    if not state.is_normalized():
-        raise ValueError(
-            f"state is not normalized (|norm^2 - 1| > {DEFAULT_NORM_TOL:g})"
-        )
-    psi = state.amps.reshape((2,) * state.n)
-    m = np.moveaxis(psi, qubit - 1, 0).reshape(2, -1)
-    return m @ m.conj().T

@@ -1,11 +1,8 @@
-"""Three-qubit specializations: the coefficient 3-tangle and the
-single-qubit-cut squared concurrence."""
+"""Three-qubit specialization: the coefficient 3-tangle."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from .qstate import PureState, reduced_density_single
+from .qstate import PureState
 
 
 def ckw_terms(state: PureState) -> tuple[complex, complex, complex]:
@@ -35,16 +32,3 @@ def ckw_tangle(state: PureState) -> float:
     """3-tangle from the amplitude coefficients: 4|d1 - 2 d2 + 4 d3|."""
     d1, d2, d3 = ckw_terms(state)
     return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
-
-
-def c_a_bc_squared(state: PureState, cut_qubit: int) -> float:
-    """Squared concurrence of one qubit against the rest: 4 det(rho_cut)."""
-    if state.n != 3:
-        raise ValueError(f"single-cut concurrence here needs n=3, got n={state.n}")
-    rho = reduced_density_single(state, cut_qubit)
-    det = np.real(rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0])
-    if det < 0.0:
-        if det < -1e-12:
-            raise ValueError(f"reduced density has negative determinant {det:.3e}")
-        det = 0.0
-    return float(min(4.0 * det, 1.0 + 1e-12))

@@ -149,6 +149,25 @@ def test_state_file_with_a_matrix_member_loads_the_same_values(tmp_path):
     assert load_state(str(path)).amps.tobytes() == state.amps.tobytes()
 
 
+def test_state_file_with_an_extra_array_member_loads_in_bounded_memory(tmp_path):
+    # an unread member holding a copy of the pairs, before the amplitudes, is
+    # decoded in row blocks and dropped (17.5x the array when decoded whole)
+    state = random_pure(16, seed=1)
+    path = tmp_path / "s.json"
+    save_state(state, str(path))
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({"extra": doc["amplitudes"], **doc}))
+    del doc
+    tracemalloc.start()
+    try:
+        loaded = load_state(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.amps.tobytes() == state.amps.tobytes()
+    assert peak <= 3 * state.amps.nbytes
+
+
 # Files that span several of the loaders' blocks (oddtangle.io.BLOCK_CHARS
 # characters): a state of 2**13 entries and a density of 2**7 x 2**7.
 
@@ -819,6 +838,24 @@ def test_cli_unwritable_out_is_an_input_error(tmp_path, capsys, argv, out):
     out = out.format(tmp=tmp_path)
     assert main([a.format(g3=g3) for a in argv] + ["--out", out]) == EXIT_INPUT_ERROR
     assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [(["verify-all"], "verify_all"), (["compute", "--state", "s.json"], "load_state")],
+    ids=["verify_all", "compute"],
+)
+def test_cli_out_in_a_missing_directory_is_refused_before_any_work(
+    tmp_path, monkeypatch, capsys, argv, work
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before --out was checked")
+
+    monkeypatch.setattr(oddtangle.cli, work, no_work)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "missing/x.txt"]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", "error: cannot write missing/x.txt: No such file or directory\n")
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(

@@ -12,9 +12,8 @@ from oddtangle.qstate import (
     apply_local_operators,
     index_of_bits,
     permute_qubits,
-    reduced_density_single,
 )
-from oddtangle.stategen import basis_product, ghz, random_pure, w
+from oddtangle.stategen import basis_product, ghz, random_pure
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -168,34 +167,3 @@ def test_assert_invertible():
     chain = LocalOperatorChain([np.array([[1.0, 1.0], [1.0, 1.0]])])
     with pytest.raises(ValueError):
         chain.assert_invertible()
-
-
-def test_reduced_density_product_state():
-    rho = reduced_density_single(basis_product(3, (0, 0, 0)), 1)
-    np.testing.assert_allclose(rho, np.diag([1.0, 0.0]), atol=1e-15)
-
-
-def test_reduced_density_ghz():
-    rho = reduced_density_single(ghz(3), 1)
-    np.testing.assert_allclose(rho, np.diag([0.5, 0.5]), atol=1e-14)
-    assert abs(4.0 * np.linalg.det(rho).real - 1.0) < 1e-12
-
-
-def test_reduced_density_w():
-    rho = reduced_density_single(w(3), 1)
-    np.testing.assert_allclose(rho, np.diag([2.0 / 3.0, 1.0 / 3.0]), atol=1e-14)
-    assert abs(4.0 * np.linalg.det(rho).real - 8.0 / 9.0) < 1e-12
-
-
-def test_reduced_density_properties():
-    s = random_pure(4, seed=21)
-    for qubit in range(1, 5):
-        rho = reduced_density_single(s, qubit)
-        assert abs(np.trace(rho).real - 1.0) < 1e-12
-        np.testing.assert_allclose(rho, rho.conj().T, atol=1e-13)
-        assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
-
-
-def test_reduced_density_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        reduced_density_single(PureState(2, [2.0, 0.0, 0.0, 0.0]), 1)

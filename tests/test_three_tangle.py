@@ -5,7 +5,7 @@ from oddtangle.fast_tangle import tangle_i_fast
 from oddtangle.qstate import PureState, QubitPermutation, permute_qubits
 from oddtangle.residual_forms import residual_tau
 from oddtangle.stategen import basis_product, ghz, random_pure, w
-from oddtangle.three_tangle import c_a_bc_squared, ckw_tangle
+from oddtangle.three_tangle import ckw_tangle
 
 SQ2 = np.sqrt(2.0)
 
@@ -36,28 +36,16 @@ def test_ckw_rejects_wrong_n():
         ckw_tangle(ghz(5))
 
 
-def test_cut_concurrence_ghz():
-    for q in (1, 2, 3):
-        assert c_a_bc_squared(ghz(3), q) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cut_concurrence_w():
-    assert c_a_bc_squared(w(3), 1) == pytest.approx(8.0 / 9.0, abs=1e-12)
-
-
-def test_cut_concurrence_product():
-    assert c_a_bc_squared(basis_product(3, (1, 1, 0)), 2) == pytest.approx(
-        0.0, abs=1e-14
-    )
-
-
 def test_monogamy_style_bound():
     # the 3-tangle never exceeds the squared one-vs-rest concurrence
+    # C^2_A(BC) = 4 det(rho_A), rho_A = M M^H for psi as a 2 x 4 matrix M
     for seed in range(20):
         s = random_pure(3, seed=seed)
         tau = ckw_tangle(s)
         for q in (1, 2, 3):
-            assert tau <= c_a_bc_squared(s, q) + 1e-10
+            m = np.moveaxis(s.amps.reshape(2, 2, 2), q - 1, 0).reshape(2, 4)
+            c_squared = 4.0 * np.linalg.det(m @ m.conj().T).real
+            assert tau <= c_squared + 1e-10
 
 
 def test_ckw_permutation_invariance():
