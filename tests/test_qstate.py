@@ -10,6 +10,8 @@ from oddtangle.qstate import (
     PureState,
     QubitPermutation,
     apply_local_operators,
+    check_odd_n,
+    check_qubit_index,
     index_of_bits,
     permute_qubits,
 )
@@ -167,3 +169,59 @@ def test_assert_invertible():
     chain = LocalOperatorChain([np.array([[1.0, 1.0], [1.0, 1.0]])])
     with pytest.raises(ValueError):
         chain.assert_invertible()
+
+
+def test_chain_validation():
+    with pytest.raises(ValueError):
+        LocalOperatorChain([])
+    with pytest.raises(ValueError):
+        LocalOperatorChain([np.eye(3)])
+    with pytest.raises(ValueError):
+        LocalOperatorChain([np.eye(2), np.array([[1.0, np.inf], [0.0, 1.0]])])
+
+
+def test_chain_copies_and_freezes_its_operators():
+    op = np.eye(2, dtype=complex)
+    chain = LocalOperatorChain([op])
+    op[0, 0] = 5.0
+    assert chain.ops[0][0, 0] == 1.0
+    assert not chain.ops[0].flags.writeable
+
+
+def test_chain_dets_and_abs_det_sq_product():
+    ops = [
+        np.diag([2.0, 1.0]),
+        np.array([[0.0, 1j], [1.0, 0.0]]),
+        np.array([[1.0, 2.0], [3.0, 4.0]]),
+    ]
+    chain = LocalOperatorChain(ops)
+    np.testing.assert_allclose(chain.dets(), [2.0, -1j, -2.0], atol=1e-14)
+    assert chain.abs_det_sq_product() == pytest.approx(16.0, abs=1e-13)
+
+
+def test_is_unitary():
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    assert LocalOperatorChain([hadamard, SIGMA_X, np.diag([1.0, 1j])]).is_unitary()
+    assert not LocalOperatorChain([hadamard, np.diag([2.0, 1.0])]).is_unitary()
+
+
+def test_transposition_maps_and_range():
+    assert QubitPermutation.transposition(4, 2, 2).map == (1, 2, 3, 4)
+    assert QubitPermutation.transposition(4, 1, 4).map == (4, 2, 3, 1)
+    with pytest.raises(ValueError):
+        QubitPermutation.transposition(3, 0, 2)
+    with pytest.raises(ValueError):
+        QubitPermutation.transposition(3, 1, 4)
+
+
+def test_check_odd_n_and_qubit_index():
+    for n in (3, 5, 17):
+        check_odd_n(n)
+    for n in (-1, 0, 1, 2, 4, 16):
+        with pytest.raises(ValueError):
+            check_odd_n(n)
+    check_qubit_index(3, 1)
+    check_qubit_index(3, 3)
+    for i in (0, 4, -1):
+        with pytest.raises(ValueError):
+            check_qubit_index(3, i)

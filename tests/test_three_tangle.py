@@ -5,7 +5,7 @@ from oddtangle.fast_tangle import tangle_i_fast
 from oddtangle.qstate import PureState, QubitPermutation, permute_qubits
 from oddtangle.residual_forms import residual_tau
 from oddtangle.stategen import basis_product, ghz, random_pure, w
-from oddtangle.three_tangle import ckw_tangle
+from oddtangle.three_tangle import ckw_tangle, ckw_terms
 
 SQ2 = np.sqrt(2.0)
 
@@ -29,6 +29,14 @@ def test_ckw_bell_times_single_qubit():
     amps[0] = 1.0 / SQ2
     amps[6] = 1.0 / SQ2
     assert ckw_tangle(PureState(3, amps)) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_ckw_terms_ghz_and_w():
+    # GHZ: only a0^2 a7^2 = 1/4 survives in d1; W: every term has a zero factor
+    np.testing.assert_allclose(ckw_terms(ghz(3)), [0.25, 0.0, 0.0], atol=1e-15)
+    assert ckw_terms(w(3)) == (0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        ckw_terms(ghz(5))
 
 
 def test_ckw_rejects_wrong_n():
