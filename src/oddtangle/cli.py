@@ -320,11 +320,12 @@ def main(argv=None) -> int:
         # numpy's default_rng rejects a negative seed; refuse it before any work
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        # so is an --out in a missing directory; other write errors show on writing
+        # so is an --out whose directory cannot be reached: opening a file in
+        # it fails the same way; other write errors show on writing
         if args.out:
             try:
                 os.stat(os.path.dirname(args.out) or os.curdir)
-            except FileNotFoundError as exc:
+            except OSError as exc:
                 raise _cannot_write(args.out, exc) from exc
         text, code = args.func(args)
         if text is not None and args.out is not None:

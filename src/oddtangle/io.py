@@ -58,7 +58,9 @@ BLOCK_CHARS = 1 << 16  # characters read at a time, and least text per json.load
 # kind: (array member, axes of [re, im] pairs, class)
 _KINDS = {"state": ("amplitudes", 1, PureState), "density": ("matrix", 2, MixedState)}
 _NDIMS = {key: ndim for key, ndim, _ in _KINDS.values()}
-_SCALARS = ("format_version", "kind", "n")  # the other members _load reads
+# the other members _load reads; _document drops every member but these and
+# the kind's array, so _load may read no member not named here
+_SCALARS = ("format_version", "kind", "n")
 
 
 class StateFileError(ValueError):
@@ -175,14 +177,14 @@ def _piece(text: _Text, pattern) -> tuple:
             return rows, text.pos + stop - 1, True
         piece = text.buf[text.pos:end.end() - 1]
         try:
-            return json.loads("[" + piece + "]"), end.end(), False
-        except json.JSONDecodeError:
-            pass
-        try:  # the array ends in the piece, and the row end is a later member's
-            rows, stop = _DECODER.raw_decode("[" + piece)
-            return rows, text.pos + stop - 1, True
+            rows, stop = _DECODER.raw_decode("[" + piece + "]")
         except json.JSONDecodeError:
             skip = 2 * len(piece)
+            continue
+        if stop == len(piece) + 2:  # whole rows
+            return rows, end.end(), False
+        # the array ends in the piece, and the row end is a later member's
+        return rows, text.pos + stop - 1, True
 
 
 def _rows(text: _Text, ndim: int) -> tuple:

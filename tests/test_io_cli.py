@@ -849,13 +849,30 @@ def test_cli_out_in_a_missing_directory_is_refused_before_any_work(
     tmp_path, monkeypatch, capsys, argv, work
 ):
     def no_work(*args, **kwargs):
-        raise AssertionError("the command ran before --out was checked")
+        raise AssertionError(f"{work} ran before --out was checked")
 
     monkeypatch.setattr(oddtangle.cli, work, no_work)
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", "missing/x.txt"]) == EXIT_INPUT_ERROR
     assert capsys.readouterr() == ("", "error: cannot write missing/x.txt: No such file or directory\n")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--type", "ghz", "--n", "3"], ["compute", "--state", "g3.json"], ["verify-all"]],
+    ids=["gen", "compute", "verify_all"],
+)
+def test_cli_out_under_a_regular_file_is_an_input_error(tmp_path, monkeypatch, capsys, argv):
+    # os.stat of "report.txt/sub" fails with NotADirectoryError, not FileNotFoundError
+    monkeypatch.chdir(tmp_path)
+    _gen(tmp_path, "g3.json", "--type", "ghz", "--n", "3")
+    (tmp_path / "report.txt").write_text("kept\n")
+    out = "report.txt/sub/x.txt"
+    assert main(argv + ["--out", out]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: Not a directory\n")
+    assert sorted(os.listdir(tmp_path)) == ["g3.json", "report.txt"]
+    assert (tmp_path / "report.txt").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(
