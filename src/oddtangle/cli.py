@@ -179,15 +179,15 @@ def _cmd_slocc_check(args):
 def _cmd_perm_check(args):
     if args.trials is not None:
         _check_trials(args.trials)
-    if args.state and args.n is not None:
+    if args.state is not None and args.n is not None:
         raise ValueError("--n applies only without --state")
     n = 5 if args.n is None else args.n
     seed = 0 if args.seed is None else args.seed
-    state = load_state(args.state) if args.state else random_pure(n, seed=seed)
+    state = load_state(args.state) if args.state is not None else random_pure(n, seed=seed)
     if state.n <= 5:
         if args.trials is not None:
             raise ValueError("--trials applies only above n=5")
-        if args.state and args.seed is not None:
+        if args.state is not None and args.seed is not None:
             raise ValueError("--seed applies only without --state or above n=5")
         perms = all_permutations(state.n)
     else:

@@ -17,18 +17,18 @@ whole array is built.
 
 Both loaders share one path too, and never hold the whole text or the
 whole array as Python lists: the file is read BLOCK_CHARS characters at a
-time, the top-level object is walked with json's own string and value
-decoders, and an array is decoded by json.loads in blocks of whole rows,
-each turned into a float64 array before the next is read.  _KINDS names
-each kind's array member, its axes and its class.  Every array-valued
-member but format_version, kind and n, and a bare top-level list, is
-decoded in blocks whichever loader runs, and only the loader's own array
-is kept, so a file of the other kind or a bare list peaks at 1.13x (n=9
-density to load_state) and 1.27x (n=17 state to load_density, or a bare
-list of 2**17 pairs to load_state) before it is refused, and an extra
-member holding a copy of the amplitudes leaves a load's peak at 2.5x
-(n = 16 and 17).  They accept and decode every file that json.load does,
-to the same values.  Loading a state
+time, every object, at any depth, is walked with json's own string and
+value decoders, and every array is decoded by json.loads in blocks of
+whole rows, each turned into a float64 array before the next is read.
+_KINDS names each kind's array member, its axes and its class.  Only
+format_version, kind and n are decoded whole, and only they and the
+loader's own array are kept, so a file of the other kind or a bare list
+peaks at 1.13x (n=9 density to load_state) and 1.27x (n=17 state to
+load_density, or a bare list of 2**17 pairs to load_state) before it is
+refused, and an extra member holding a copy of the amplitudes, bare or in
+an object, before or after them, leaves a load's peak at 2.5x (n = 16 and
+17).  They accept and decode every file that json.load does, to the same
+values.  Loading a state
 peaks at 2.5x the array's 16 * 2**n bytes under tracemalloc at n = 15,
 17 and 19 (5.0 MiB at n=17), so about 640 MiB at MAX_QUBITS: 2x while the
 blocks are joined, then PureState's copy and checks; a density peaks at
@@ -214,43 +214,47 @@ def _rows(text: _Text, ndim: int) -> tuple:
             return blocks, problem
 
 
+def _value(text: _Text, ndim: int, keep: tuple):
+    """The JSON value at text.pos as json.loads gives it, but an array is
+    decoded by _rows (rows of ndim axes) and an object keeps only the members
+    in keep, each read by _value unless named in _SCALARS (decoded whole)."""
+    if text.peek() == "[":
+        return _rows(text, ndim)
+    if text.peek() != "{":
+        return text.value(_DECODER.raw_decode)
+    doc = {}
+    text.pos += 1
+    if text.peek() == "}":
+        text.pos += 1
+        return doc
+    while True:
+        if text.peek() != '"':
+            raise text.error("Expecting property name enclosed in double quotes", text.pos)
+        name = text.value(lambda s, i: scanstring(s, i + 1))
+        if text.peek() != ":":
+            raise text.error("Expecting ':' delimiter", text.pos)
+        text.pos += 1
+        if name in _SCALARS:
+            value = text.value(_DECODER.raw_decode)
+        else:
+            value = _value(text, _NDIMS.get(name, 1), ())
+        if name in keep:
+            doc[name] = value
+        del value  # an unread member's blocks, before the next member
+        sep = text.peek()
+        if sep == "}":
+            text.pos += 1
+            return doc
+        if sep != ",":
+            raise text.error("Expecting ',' delimiter", text.pos)
+        text.pos += 1
+
+
 def _document(text: _Text, key: str):
-    """The file's JSON value, as json.loads gives it, except that a top-level
-    array, and each array member but format_version, kind and n, is decoded
-    by _rows, and an object keeps only those three members and `key`."""
+    """The file's JSON value; a top-level object keeps `key` and _SCALARS."""
     if text.peek() == "\ufeff":
         raise text.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
-    if text.peek() == "[":
-        doc = _rows(text, 1)
-    elif text.peek() != "{":
-        doc = text.value(_DECODER.raw_decode)
-    else:
-        doc = {}
-        text.pos += 1
-        if text.peek() == "}":
-            text.pos += 1
-        else:
-            while True:
-                if text.peek() != '"':
-                    raise text.error("Expecting property name enclosed in double quotes", text.pos)
-                name = text.value(lambda s, i: scanstring(s, i + 1))
-                if text.peek() != ":":
-                    raise text.error("Expecting ':' delimiter", text.pos)
-                text.pos += 1
-                if text.peek() == "[" and name not in _SCALARS:
-                    value = _rows(text, _NDIMS.get(name, 1))
-                else:
-                    value = text.value(_DECODER.raw_decode)
-                if name == key or name in _SCALARS:
-                    doc[name] = value
-                del value  # an unread array's blocks, before the next member
-                sep = text.peek()
-                if sep == "}":
-                    text.pos += 1
-                    break
-                if sep != ",":
-                    raise text.error("Expecting ',' delimiter", text.pos)
-                text.pos += 1
+    doc = _value(text, 1, (key, *_SCALARS))
     if text.peek():
         raise text.error("Extra data", text.pos)
     return doc

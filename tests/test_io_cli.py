@@ -149,14 +149,22 @@ def test_state_file_with_a_matrix_member_loads_the_same_values(tmp_path):
     assert load_state(str(path)).amps.tobytes() == state.amps.tobytes()
 
 
-def test_state_file_with_an_extra_array_member_loads_in_bounded_memory(tmp_path):
-    # an unread member holding a copy of the pairs, before the amplitudes, is
-    # decoded in row blocks and dropped (17.5x the array when decoded whole)
+@pytest.mark.parametrize("shape", ["array", "object-before", "object-after"])
+def test_state_file_with_an_extra_array_member_loads_in_bounded_memory(tmp_path, shape):
+    # an unread member holding a copy of the pairs, as an array or in an
+    # object, before or after the amplitudes, is decoded in row blocks and
+    # dropped (17.5x, 17.0x and 22.1x the array when decoded whole)
     state = random_pure(16, seed=1)
     path = tmp_path / "s.json"
     save_state(state, str(path))
     doc = json.loads(path.read_text())
-    path.write_text(json.dumps({"extra": doc["amplitudes"], **doc}))
+    if shape == "array":
+        doc = {"extra": doc["amplitudes"], **doc}
+    elif shape == "object-before":
+        doc = {"extra": {"copy": doc["amplitudes"]}, **doc}
+    else:
+        doc = {**doc, "extra": {"copy": doc["amplitudes"]}}
+    path.write_text(json.dumps(doc))
     del doc
     tracemalloc.start()
     try:
@@ -619,6 +627,17 @@ def test_cli_perm_check_from_file(tmp_path, capsys):
     path = _gen(tmp_path, "r.json", "--type", "random", "--n", "7", "--seed", "2")
     assert main(["perm-check", "--state", path, "--trials", "5"]) == EXIT_OK
     assert "permutations 5" in capsys.readouterr().out
+
+
+def test_cli_perm_check_empty_state_is_a_path(capsys):
+    # an empty --state is read as a path, as compute reads it, not dropped
+    assert main(["compute", "--state", ""]) == EXIT_INPUT_ERROR
+    compute = capsys.readouterr()
+    assert compute == ("", "error: cannot read : [Errno 2] No such file or directory: ''\n")
+    assert main(["perm-check", "--state", ""]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == compute
+    assert main(["perm-check", "--state", "", "--n", "3"]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", "error: --n applies only without --state\n")
 
 
 @pytest.mark.parametrize(

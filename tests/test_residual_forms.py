@@ -92,15 +92,19 @@ def test_residual_tau_unnormalized_homogeneity():
 
 
 def test_averaged_residual_matches_n_tangle():
-    for n in (3, 5):
+    # residual_forms shares no code with compute_TPQ: every qubit's tangle
+    # is checked against it, and so is their average
+    for n in (3, 5, 9, 11, 15, 17):
         s = random_pure(n, seed=42 + n)
-        avg = sum(
+        taus = [
             residual_tau(
                 permute_qubits(s, QubitPermutation.transposition(n, 1, i))
             )
             for i in range(1, n + 1)
-        ) / n
-        assert avg == pytest.approx(n_tangle(s).average, abs=1e-10)
+        ]
+        for i, tau in enumerate(taus, start=1):
+            assert tangle_i_fast(s, i) == pytest.approx(tau, rel=1e-11)
+        assert sum(taus) / n == pytest.approx(n_tangle(s).average, abs=1e-10)
 
 
 def test_n3_single_term_edge():
