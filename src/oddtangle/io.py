@@ -16,28 +16,30 @@ whole rows of at most BLOCK_ENTRIES entries, so no Python list of the
 whole array is built.
 
 Both loaders share one path too, and never hold the whole text or the
-whole array as Python lists: the file is read BLOCK_CHARS characters at a
-time, every object, at any depth, is walked with json's own string and
-value decoders, and every array is decoded by json.loads in blocks of
-whole rows, each turned into a float64 array before the next is read.
-_KINDS names each kind's array member, its axes and its class.  Only
-format_version, kind and n are decoded whole, and only they and the
-loader's own array are kept, so a file of the other kind or a bare list
-peaks at 1.13x (n=9 density to load_state) and 1.27x (n=17 state to
-load_density, or a bare list of 2**17 pairs to load_state) before it is
-refused, and an extra member holding a copy of the amplitudes, bare or in
-an object, before or after them, leaves a load's peak at 2.5x (n = 16 and
-17).  They accept and decode every file that json.load does, to the same
-values.  Loading a state
-peaks at 2.5x the array's 16 * 2**n bytes under tracemalloc at n = 15,
-17 and 19 (5.0 MiB at n=17), so about 640 MiB at MAX_QUBITS: 2x while the
-blocks are joined, then PureState's copy and checks; a density peaks at
-about 4x (n = 7 and 9), from MixedState's checks.  Both raise
-StateFileError (CLI exit 2) on a file that cannot be opened, is not UTF-8,
-is not JSON or nests too deeply to decode; on a wrong version, kind or
-shape, an `n` that is not an integer in 1..MAX_QUBITS (`true` included),
-or an `re`/`im` that is not a JSON number (booleans, strings, null) or is
-an integer beyond float range.
+whole array as Python lists: the file is read BLOCK_CHARS characters at
+a time, every object, at any depth, is walked with json's own string and
+value decoders, and every array, at any depth, is decoded by json.loads
+in blocks of whole rows, each turned into a float64 array before the
+next is read, or entry by entry where a block's cut lies in a nested
+value or a string; only JSON scalars are decoded whole.  _KINDS names
+each kind's array member, its axes and its class.  Only format_version,
+kind, n and the loader's own array are kept, so a file of the other kind
+or a bare list peaks at 1.13x (n=9 density to load_state) and 1.27x
+(n=17 state to load_density, or a bare list of 2**17 pairs to
+load_state) before it is refused, and a value holding a copy of the
+amplitudes that the loader does not keep (an extra member, bare, in an
+object or in an array, or an `n` that a later `n` overrides) leaves a
+load's peak at 2.5x (n = 15 to 17).  They accept and decode every file
+that json.load does, to the same values, and refuse every other with
+json's message.  Loading a state peaks at 2.5x the array's 16 * 2**n
+bytes under tracemalloc at n = 15, 17 and 19 (5.0 MiB at n=17), so about
+640 MiB at MAX_QUBITS: 2x while the blocks are joined, then PureState's
+copy and checks; a density peaks at about 4x (n = 7 and 9), from
+MixedState's checks.  Both raise StateFileError (CLI exit 2) on a file
+that cannot be opened, is not UTF-8, is not JSON or nests too deeply to
+decode; on a wrong version, kind or shape, an `n` that is not an integer
+in 1..MAX_QUBITS (`true` included), or an `re`/`im` that is not a JSON
+number (booleans, strings, null) or is an integer beyond float range.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ _NDIMS = {key: ndim for key, ndim, _ in _KINDS.values()}
 # the other members _load reads; _document drops every member but these and
 # the kind's array, so _load may read no member not named here
 _SCALARS = ("format_version", "kind", "n")
+_PAIR = "expected a [re, im] pair of numbers"
 
 
 class StateFileError(ValueError):
@@ -124,10 +127,10 @@ class _Text:
                     raise self.error(exc.msg, exc.pos) from None
             self.more()
 
-    def row_end(self, skip: int, pattern):
-        """The first match of pattern at or after pos + skip, or None."""
+    def row_end(self, pattern):
+        """The first match of pattern at or after pos + BLOCK_CHARS, or None."""
         while True:
-            match = pattern.search(self.buf, self.pos + skip)
+            match = pattern.search(self.buf, self.pos + BLOCK_CHARS)
             if match or not self.more():
                 return match
 
@@ -147,7 +150,7 @@ def _block(rows: list, ndim: int) -> np.ndarray:
     try:
         x = np.asarray(rows, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"expected a [re, im] pair of numbers ({exc})") from None
+        raise ValueError(f"{_PAIR} ({exc})") from None
     if x.ndim == ndim + 1:  # otherwise _values refuses the shape
         # numpy also converts bools, None and numeric strings; JSON numbers
         # arrive as int or float (bool is a subclass of int, hence exact types)
@@ -157,52 +160,60 @@ def _block(rows: list, ndim: int) -> np.ndarray:
         bad = set(map(type, flat)) - {int, float}
         if bad:
             names = ", ".join(sorted(t.__name__ for t in bad))
-            raise ValueError(f"expected a [re, im] pair of numbers, found {names}")
+            raise ValueError(f"{_PAIR}, found {names}")
     return x
 
 
 def _piece(text: _Text, pattern) -> tuple:
     """The rows of the array from text.pos to the first row end at least
-    BLOCK_CHARS on, or to the array's end if it comes first or no row end
-    follows: (rows, where the next piece starts or the array ends, whether
-    it ends)."""
-    skip = BLOCK_CHARS
-    while True:
-        end = text.row_end(skip, pattern)
-        if not end:
-            try:
-                rows, stop = _DECODER.raw_decode("[" + text.buf[text.pos:])
-            except json.JSONDecodeError as exc:
-                raise text.error(exc.msg, text.pos + exc.pos - 1) from None
-            return rows, text.pos + stop - 1, True
-        piece = text.buf[text.pos:end.end() - 1]
-        try:
-            rows, stop = _DECODER.raw_decode("[" + piece + "]")
-        except json.JSONDecodeError:
-            skip = 2 * len(piece)
-            continue
-        if stop == len(piece) + 2:  # whole rows
-            return rows, end.end(), False
-        # the array ends in the piece, and the row end is a later member's
+    BLOCK_CHARS on, or to the end of the text if no row end follows, in one
+    decode: (rows, where the next piece starts, False) for whole rows,
+    (rows, where the array ends, True) if it ends in the piece, or (None,
+    where the next piece starts, False) if the piece decodes as neither,
+    which is past the end of the text if no row end follows."""
+    match = text.row_end(pattern)
+    end = match.end() if match else len(text.buf) + 1
+    piece = text.buf[text.pos:end - 1]  # without the row end's ","
+    try:
+        rows, stop = _DECODER.raw_decode("[" + piece + "]")
+    except json.JSONDecodeError:
+        return None, end, False
+    if stop < len(piece) + 2:
         return rows, text.pos + stop - 1, True
+    return rows if match else None, end, False
+
+
+def _close(text: _Text, bracket: str) -> bool:
+    """Past the "," or closing bracket after a value; True at the bracket."""
+    sep = text.peek()
+    if sep not in (",", bracket):
+        raise text.error("Expecting ',' delimiter", text.pos)
+    text.pos += 1
+    return sep == bracket
 
 
 def _rows(text: _Text, ndim: int) -> tuple:
     """Decode the array at text.pos in blocks of whole top-level rows, as
-    (float64 blocks, None), or ([], message) if an entry is not a number.
-    A block is cut at a row end only; with rows of number pairs no other
-    text matches.  A piece that does not decode as whole rows holds the
-    array's end, and is decoded up to it, or cuts through an entry that is
-    not a number pair, and is doubled until it decodes, or until no row end
-    follows and the rest is decoded up to the array's end: every file
-    decodes as json.loads decodes it."""
+    (float64 blocks, None), or ([], message) if an entry is not a number
+    pair.  A block is cut at a row end only; with rows of number pairs no
+    other text matches.  A piece that does not decode, or is empty after a
+    ",", is read entry by entry up to its end (an array by _rows, any other
+    value by _value), then blocks go on: every file decodes as json.loads
+    decodes it, and a syntax error is raised where json.loads raises it."""
     pattern = _ROW_ENDS[ndim]
     blocks, problem, first = [], None, True
     text.pos += 1  # past "["
     while True:
         rows, after, last = _piece(text, pattern)
-        if last and not rows and not first:  # "[..., ]"
-            raise text.error("Expecting value", _WHITESPACE.match(text.buf, text.pos).end())
+        if rows is None or not (rows or first):  # "[..., ]" raises below
+            blocks, problem, first = [], problem or _PAIR, False
+            end = text.offset + after
+            while text.offset + text.pos < end:
+                # an array by _rows, as _value would add a frame per level
+                (_rows if text.peek() == "[" else _value)(text, ndim)
+                if _close(text, "]"):
+                    return blocks, problem
+            continue
         if problem is None:
             try:
                 blocks.append(_block(rows, ndim))
@@ -214,10 +225,10 @@ def _rows(text: _Text, ndim: int) -> tuple:
             return blocks, problem
 
 
-def _value(text: _Text, ndim: int, keep: tuple):
+def _value(text: _Text, ndim: int, keep: tuple = ()):
     """The JSON value at text.pos as json.loads gives it, but an array is
     decoded by _rows (rows of ndim axes) and an object keeps only the members
-    in keep, each read by _value unless named in _SCALARS (decoded whole)."""
+    in keep, each read by _value."""
     if text.peek() == "[":
         return _rows(text, ndim)
     if text.peek() != "{":
@@ -234,20 +245,12 @@ def _value(text: _Text, ndim: int, keep: tuple):
         if text.peek() != ":":
             raise text.error("Expecting ':' delimiter", text.pos)
         text.pos += 1
-        if name in _SCALARS:
-            value = text.value(_DECODER.raw_decode)
-        else:
-            value = _value(text, _NDIMS.get(name, 1), ())
+        value = _value(text, _NDIMS.get(name, 1))
         if name in keep:
             doc[name] = value
         del value  # an unread member's blocks, before the next member
-        sep = text.peek()
-        if sep == "}":
-            text.pos += 1
+        if _close(text, "}"):
             return doc
-        if sep != ",":
-            raise text.error("Expecting ',' delimiter", text.pos)
-        text.pos += 1
 
 
 def _document(text: _Text, key: str):
@@ -276,6 +279,11 @@ def _values(rows, shape: tuple, where: str) -> np.ndarray:
     return x.view(np.complex128).reshape(shape)
 
 
+def _shown(value) -> str:
+    """A member's value in a message: a JSON scalar's repr, else its type."""
+    return {tuple: ": an array", dict: ": an object"}.get(type(value), f" {value!r}")
+
+
 def _load(path: str, kind: str):
     """make(n, values) for a `kind` file whose array member holds 2**n x ...
     (ndim axes) [re, im] pairs, as _KINDS gives them."""
@@ -289,13 +297,13 @@ def _load(path: str, kind: str):
         raise StateFileError(f"{path}: top-level value must be an object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
-        raise StateFileError(f"{path}: unsupported format_version {version!r}")
+        raise StateFileError(f"{path}: unsupported format_version{_shown(version)}")
     if doc.get("kind", "state") != kind:
-        raise StateFileError(f"{path}: kind is {doc.get('kind')!r}, expected {kind!r}")
+        raise StateFileError(f"{path}: kind is{_shown(doc.get('kind'))}, expected {kind!r}")
     n = doc.get("n")
     # exact type: bool is a subclass of int
     if type(n) is not int or not 1 <= n <= MAX_QUBITS:
-        raise StateFileError(f"{path}: bad qubit count {n!r}, need 1..{MAX_QUBITS}")
+        raise StateFileError(f"{path}: bad qubit count{_shown(n)}, need 1..{MAX_QUBITS}")
     # the blocks are dropped here, so make's copy is the only other array
     values = _values(doc.pop(key, None), (2**n,) * ndim, f"{path}: {key}")
     try:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_NORM_TOL = 1e-9
-
 # Largest qubit count the state generators and file loaders accept.  A
 # state holds 2**n complex doubles (256 MiB at n=24), and the T/P/Q kernel
 # needs several more arrays of that length; n=21 takes well under 1 GiB.
@@ -85,7 +83,7 @@ class PureState:
     def squared_norm(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
 
-    def is_normalized(self, tol: float = DEFAULT_NORM_TOL) -> bool:
+    def is_normalized(self, tol: float) -> bool:
         return abs(self.squared_norm() - 1.0) <= tol
 
     def __repr__(self) -> str:

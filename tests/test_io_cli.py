@@ -149,23 +149,31 @@ def test_state_file_with_a_matrix_member_loads_the_same_values(tmp_path):
     assert load_state(str(path)).amps.tobytes() == state.amps.tobytes()
 
 
-@pytest.mark.parametrize("shape", ["array", "object-before", "object-after"])
+@pytest.mark.parametrize(
+    "shape",
+    ["array", "object-before", "object-after", "array-of-arrays", "array-of-object", "nested-n", "duplicate-n"],
+)
 def test_state_file_with_an_extra_array_member_loads_in_bounded_memory(tmp_path, shape):
-    # an unread member holding a copy of the pairs, as an array or in an
-    # object, before or after the amplitudes, is decoded in row blocks and
-    # dropped (17.5x, 17.0x and 22.1x the array when decoded whole)
+    # an unread value holding a copy of the pairs, as an array, in an object
+    # or in an array, before or after the amplitudes, or as an `n` that a
+    # later `n` overrides, is decoded in row blocks and dropped (17.5x,
+    # 17.0x, 22.1x, 23.1x, 23.1x, 17.0x and 17.0x the array when decoded whole)
     state = random_pure(16, seed=1)
     path = tmp_path / "s.json"
     save_state(state, str(path))
-    doc = json.loads(path.read_text())
-    if shape == "array":
-        doc = {"extra": doc["amplitudes"], **doc}
-    elif shape == "object-before":
-        doc = {"extra": {"copy": doc["amplitudes"]}, **doc}
-    else:
-        doc = {**doc, "extra": {"copy": doc["amplitudes"]}}
-    path.write_text(json.dumps(doc))
-    del doc
+    text = path.read_text()
+    doc = json.loads(text)
+    pairs = doc["amplitudes"]
+    doc = {
+        "array": {"extra": pairs, **doc},
+        "object-before": {"extra": {"copy": pairs}, **doc},
+        "object-after": {**doc, "extra": {"copy": pairs}},
+        "array-of-arrays": {"extra": [pairs], **doc},
+        "array-of-object": {"extra": [{"copy": pairs}], **doc},
+        "nested-n": {"extra": {"n": pairs}, **doc},
+    }.get(shape)
+    path.write_text(json.dumps(doc) if doc else '{"n": ' + json.dumps(pairs) + ", " + text[1:])
+    del doc, pairs, text
     tracemalloc.start()
     try:
         loaded = load_state(str(path))
@@ -288,6 +296,49 @@ def test_loaders_decode_alike_wherever_blocks_and_chunks_end(tmp_path, monkeypat
                 load(str(path))
 
 
+def test_deeply_nested_unread_array_loads_in_small_blocks(tmp_path, monkeypatch):
+    # a block that cuts through a nested array is read entry by entry, one
+    # frame per level, so small blocks accept the nesting json.loads does
+    monkeypatch.setattr(oddtangle.io, "BLOCK_CHARS", 16)
+    deep = "[" * 800 + "0" + ", 0]" * 800
+    path = tmp_path / "s.json"
+    path.write_text(f'{{"format_version": 1, "kind": "state", "n": 1, "extra": {deep}, "amplitudes": [[1, 0], [0, 0]]}}')
+    assert load_state(str(path)).amps.tolist() == [1, 0]
+
+
+_MUTATED = (
+    '{"format_version": 1, "kind": "state", "extra": [{"copy": [[1, 2]]}, [5, 6]],'
+    ' "n": 1, "amplitudes": [[0.5, -0.0], [1e-1, 0]], "note": "a], b"}\n'
+)
+
+
+@pytest.mark.parametrize("size", [1, 7, 65536])
+def test_loaders_place_every_syntax_error_as_json_does(tmp_path, monkeypatch, size):
+    # every one-character replacement by "]", "," or "x": where json.loads
+    # refuses the text, the loader gives its message; where it accepts it,
+    # the loader raises no read error
+    monkeypatch.setattr(oddtangle.io, "BLOCK_CHARS", size)
+    path = tmp_path / "m.json"
+    prefix = f"cannot read {path}: "
+    mutants = {_MUTATED[:i] + c + _MUTATED[i + 1:] for i in range(len(_MUTATED)) for c in "],x"}
+    for text in sorted(mutants - {_MUTATED}):
+        path.write_text(text)
+        try:
+            json.loads(text)
+            expected = None
+        except json.JSONDecodeError as exc:
+            expected = prefix + str(exc)
+        try:
+            load_state(str(path))
+            message = None
+        except StateFileError as exc:
+            message = str(exc)
+        if expected is None:
+            assert message is None or not message.startswith(prefix), text
+        else:
+            assert message == expected, text
+
+
 _BAD_ENTRIES = {
     "true": "[true, 0]",
     "null": "[null, 0]",
@@ -385,8 +436,10 @@ _DENSITY_DOC = (
         ("true", "1", "bad qubit count"),
         ("1", str(10**400), "expected a [re, im] pair"),
         ("40", "1", "bad qubit count 40, need 1..24"),
+        ("[3]", "1", "bad qubit count: an array, need 1..24"),
+        ('{"a": 1}', "1", "bad qubit count: an object, need 1..24"),
     ],
-    ids=["bool_n", "int_beyond_float", "n_above_cap"],
+    ids=["bool_n", "int_beyond_float", "n_above_cap", "array_n", "object_n"],
 )
 @pytest.mark.parametrize(
     "command, doc",
@@ -400,6 +453,26 @@ def test_bad_count_or_huge_integer_is_an_input_error(
     path.write_text(doc % (n, entry))
     assert main([*command.split(), str(path)]) == EXIT_INPUT_ERROR
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [("false", " False"), ('"x"', " 'x'"), ("40", " 40"), ("[1]", ": an array"), ('{"a": [1]}', ": an object")],
+)
+@pytest.mark.parametrize(
+    "member, message",
+    [
+        ("format_version", "unsupported format_version{}"),
+        ("kind", "kind is{}, expected 'state'"),
+    ],
+)
+def test_a_bad_version_or_kind_is_shown_by_value_or_json_type(tmp_path, member, message, value, shown):
+    doc = {"format_version": "1", "kind": '"state"', "n": "1", member: value}
+    path = tmp_path / "bad.json"
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + ', "amplitudes": [[1, 0], [0, 0]]}')
+    with pytest.raises(StateFileError) as caught:
+        load_state(str(path))
+    assert str(caught.value) == f"{path}: " + message.format(shown)
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])

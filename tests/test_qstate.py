@@ -49,7 +49,7 @@ def test_pure_state_validation():
 
 def test_pure_state_unnormalized_accepted():
     s = PureState(1, [3.0, 4.0])
-    assert not s.is_normalized()
+    assert not s.is_normalized(1e-9)
     assert abs(s.squared_norm() - 25.0) < 1e-14
     assert PureState(1, [0.6, 0.8]).is_normalized(1e-14)
 

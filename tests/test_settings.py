@@ -25,7 +25,6 @@ LIBRARY = [
     "convex_roof.convex_roof_tangle(seed=)",
     "naive_tangle.find_noninvariance_witness(seed=)",
     "naive_tangle.tangle_i_naive(full_sum=)",
-    "qstate.PureState.is_normalized(tol=)",
     "verify.CheckResult(detail=)",
     "verify.verify_all(seed=)",
 ]
