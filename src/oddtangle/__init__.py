@@ -9,7 +9,15 @@ from .convex_roof import (
     convex_roof_tangle,
     decomposition_from_isometry,
 )
-from .fast_tangle import TPQ, TangleReport, compute_TPQ, n_tangle, tangle_i_fast
+from .fast_tangle import (
+    TPQ,
+    TangleReport,
+    compute_TPQ,
+    n_tangle,
+    stack_tangles,
+    stack_tpq,
+    tangle_i_fast,
+)
 from .naive_tangle import (
     epsilon,
     find_noninvariance_witness,

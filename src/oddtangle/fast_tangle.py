@@ -8,6 +8,13 @@ arrays, and the three sums one ``np.add.reduceat`` with no BLAS call, so a
 numpy build gives the same bits whatever the BLAS thread count.  Qubit i
 is qubit 1 of the state with qubits 1 and i exchanged.  The work count of
 one ``compute_TPQ`` call is the length of the term table it gathers over.
+
+``stack_tpq`` runs the same gather, table and ``reduceat`` offsets on every
+row of a (B, 2**n) stack of states at once, for every qubit, and gives
+each row the bits ``compute_TPQ`` gives its state; the permutation checks
+score a state's relabelled copies this way.  ``n_tangle`` keeps its
+per-qubit ``compute_TPQ`` route, whose calls the benchmark harness counts
+in a traced ``compute``.
 """
 
 from __future__ import annotations
@@ -85,6 +92,44 @@ def compute_TPQ(state: PureState) -> TPQ:
     half = 1 << (n - 1)
     T, P, Q = np.add.reduceat(a[left] * a[right] * weight, [0, half, half + (half >> 1)])
     return TPQ(complex(T), complex(P), complex(Q))
+
+
+def stack_tpq(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T, P and Q of every qubit for every row of a (B, 2**n) stack, each a
+    (B, n) array: column i - 1 holds the sums for qubit i, the same bits
+    as ``compute_TPQ`` of the row's state with qubits 1 and i exchanged."""
+    b, dim = rows.shape
+    n = dim.bit_length() - 1
+    if n < 2 or dim != 1 << n:
+        raise ValueError(f"T/P/Q need rows of 2**n amplitudes with n >= 2, got {dim}")
+    cube = rows.reshape((b,) + (2,) * n)
+    sums = np.empty((3, b, n), dtype=np.complex128)
+    for i in range(1, n + 1):
+        # axis i of the cube is qubit i; swapped to axis 1 it is qubit 1
+        sums[:, :, i - 1] = _qubit_1_sums(np.swapaxes(cube, 1, i).reshape(b, dim), n).T
+    return sums[0], sums[1], sums[2]
+
+
+def _qubit_1_sums(a: np.ndarray, n: int) -> np.ndarray:
+    """compute_TPQ's gather and sums on every row of a: (B, 3) T, P, Q."""
+    left, right, weight = _terms(n)
+    half = 1 << (n - 1)
+    if len(a) == 1:
+        # compute_TPQ's own expression: take() would copy the read-only
+        # index tables, a quarter more memory at n >= 16
+        terms = (a[0][left] * a[0][right] * weight)[np.newaxis]
+    else:
+        # take() gathers a stack faster than a[:, left]
+        terms = a.take(left, axis=1) * a.take(right, axis=1) * weight
+    return np.add.reduceat(terms, [0, half, half + (half >> 1)], axis=1)
+
+
+def stack_tangles(rows: np.ndarray) -> np.ndarray:
+    """4|T^2 - PQ| of every qubit for every row of a (B, 2**n) stack, odd n:
+    a (B, n) array whose column i - 1 is the tangle with respect to qubit i."""
+    check_odd_n(rows.shape[1].bit_length() - 1)
+    T, P, Q = stack_tpq(rows)
+    return 4.0 * np.abs(T * T - P * Q)
 
 
 def tangle_i_fast(state: PureState, i: int) -> float:

@@ -296,7 +296,8 @@ def _load(path: str, kind: str):
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top-level value must be an object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    # exact type: True and 1.0 both equal 1
+    if type(version) is not int or version != FORMAT_VERSION:
         raise StateFileError(f"{path}: unsupported format_version{_shown(version)}")
     if doc.get("kind", "state") != kind:
         raise StateFileError(f"{path}: kind is{_shown(doc.get('kind'))}, expected {kind!r}")

@@ -162,16 +162,22 @@ def index_of_bits(bits) -> int:
     return idx
 
 
-def permute_qubits(state: PureState, perm: QubitPermutation) -> PureState:
-    """Relabel qubits: the bit at qubit k moves to qubit perm(k)."""
-    if perm.n != state.n:
-        raise ValueError(f"permutation on {perm.n} qubits, state has {state.n}")
-    n = state.n
+def relabel_axes(perm: QubitPermutation, n: int) -> list[int]:
+    """The axes to transpose the (2,)*n amplitude tensor by to relabel its
+    qubits by perm: the bit at qubit k moves to qubit perm(k)."""
+    if perm.n != n:
+        raise ValueError(f"permutation on {perm.n} qubits, state has {n}")
     # axis k-1 of the (2,)*n tensor is qubit k; it becomes axis perm(k)-1
     axes = [0] * n
     for k in range(1, n + 1):
         axes[perm(k) - 1] = k - 1
-    return PureState(n, state.amps.reshape((2,) * n).transpose(axes))
+    return axes
+
+
+def permute_qubits(state: PureState, perm: QubitPermutation) -> PureState:
+    """Relabel qubits: the bit at qubit k moves to qubit perm(k)."""
+    n = state.n
+    return PureState(n, state.amps.reshape((2,) * n).transpose(relabel_axes(perm, n)))
 
 
 def apply_local_operators(state: PureState, chain: LocalOperatorChain) -> PureState:

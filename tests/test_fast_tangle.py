@@ -1,9 +1,10 @@
 import itertools
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from oddtangle.fast_tangle import compute_TPQ, n_tangle, tangle_i_fast
+from oddtangle.fast_tangle import compute_TPQ, n_tangle, stack_tangles, stack_tpq, tangle_i_fast
 from oddtangle.naive_tangle import tangle_i_naive, wong_tangle_naive
 from oddtangle.qstate import PureState, QubitPermutation, apply_local_operators, permute_qubits
 from oddtangle.slocc_ops import random_local_unitary
@@ -169,3 +170,35 @@ def test_acin_state_with_bell_pairs(n):
     expected[[perm(k) - 1 for k in (1, 2, 3)]] = tau3
     report = n_tangle(state)
     assert np.max(np.abs(np.array(report.per_qubit) - expected)) <= ANCHOR_TOL
+
+
+# one row takes compute_TPQ's own gather, more rows take()
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("n", range(2, 14))
+def test_stack_rows_are_the_bits_of_compute_tpq_on_every_qubit(n, rows):
+    states = [random_pure(n, seed=100 * n + k) for k in range(rows)]
+    T, P, Q = stack_tpq(np.stack([s.amps for s in states]))
+    assert T.shape == P.shape == Q.shape == (rows, n)
+    for row, s in enumerate(states):
+        for i in range(1, n + 1):
+            moved = s if i == 1 else permute_qubits(s, QubitPermutation.transposition(n, 1, i))
+            assert (T[row, i - 1], P[row, i - 1], Q[row, i - 1]) == astuple(compute_TPQ(moved))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_stack_tangles_match_n_tangle_to_rounding(n):
+    states = [random_pure(n, seed=n + k) for k in range(4)]
+    taus = stack_tangles(np.stack([s.amps for s in states]))
+    for row, s in zip(taus, states):
+        assert row == pytest.approx(n_tangle(s).per_qubit, rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("width", [1, 6, 12])
+def test_stack_tpq_refuses_rows_that_are_not_two_or_more_qubits(width):
+    with pytest.raises(ValueError, match="rows of 2\\*\\*n amplitudes"):
+        stack_tpq(np.zeros((2, width), dtype=np.complex128))
+
+
+def test_stack_tangles_refuse_even_n():
+    with pytest.raises(ValueError, match="need odd n >= 3, got n=4"):
+        stack_tangles(np.zeros((1, 16), dtype=np.complex128))

@@ -457,7 +457,10 @@ def test_bad_count_or_huge_integer_is_an_input_error(
 
 @pytest.mark.parametrize(
     "value, shown",
-    [("false", " False"), ('"x"', " 'x'"), ("40", " 40"), ("[1]", ": an array"), ('{"a": [1]}', ": an object")],
+    [
+        ("false", " False"), ("true", " True"), ("1.0", " 1.0"), ('"x"', " 'x'"), ("40", " 40"),
+        ("[1]", ": an array"), ('{"a": [1]}', ": an object"),
+    ],
 )
 @pytest.mark.parametrize(
     "member, message",
@@ -473,6 +476,16 @@ def test_a_bad_version_or_kind_is_shown_by_value_or_json_type(tmp_path, member, 
     with pytest.raises(StateFileError) as caught:
         load_state(str(path))
     assert str(caught.value) == f"{path}: " + message.format(shown)
+
+
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_compute_refuses_a_version_that_only_equals_1(tmp_path, capsys, version):
+    # True == 1.0 == 1 in Python; the loader takes only the integer 1
+    path = tmp_path / "bad.json"
+    path.write_text(_STATE_DOC.replace('"format_version": 1', f'"format_version": {version}') % (1, 1))
+    assert main(["compute", "--state", str(path)]) == EXIT_INPUT_ERROR
+    shown = {"true": "True", "1.0": "1.0"}[version]
+    assert capsys.readouterr() == ("", f"error: {path}: unsupported format_version {shown}\n")
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
