@@ -10,7 +10,10 @@ the d2 line of tangle3, differ from release 0.1.0.
 
 Each ``_cmd_*`` returns ``(text, exit_code)``; ``main`` writes the text to
 ``--out`` or to stdout.  ``gen`` writes its state file itself and returns
-no text.
+no text.  Each ``_cmd_*`` imports the package modules it runs, and no
+others are loaded: ``compute`` and ``roof`` load ``io``, ``convex_roof``,
+``fast_tangle`` and ``qstate``, and ``verify-all`` loads every module but
+``io``, ``convex_roof`` and ``bench``.
 """
 
 from __future__ import annotations
@@ -20,25 +23,6 @@ import csv
 import io as _io
 import os
 import sys
-
-import numpy as np
-
-from . import bench as bench_mod
-from .convex_roof import convex_roof_tangle
-from .fast_tangle import compute_TPQ, n_tangle, tangle_i_fast
-from .io import StateFileError, load_density, load_state, save_state
-from .naive_tangle import tangle_i_naive, wong_tangle_naive
-from .qstate import QubitPermutation
-from .residual_forms import residual_parts_defining, residual_parts_reduced, residual_tau
-from .slocc_ops import (
-    random_local_invertible,
-    random_local_unitary,
-    verify_lu_invariance,
-    verify_slocc_equation,
-)
-from .stategen import basis_product, ghz, random_pure, w
-from .three_tangle import ckw_tangle, ckw_terms
-from .verify import PERMUTATION_TOL, all_permutations, permutation_delta, verify_all
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -72,6 +56,9 @@ def _check_trials(trials: int) -> None:
 
 
 def _cmd_gen(args):
+    from .io import save_state
+    from .stategen import basis_product, ghz, random_pure, w
+
     if args.bits is not None and args.type != "basis":
         raise ValueError("--bits applies only to --type basis")
     if args.seed is not None and args.type != "random":
@@ -96,6 +83,9 @@ def _cmd_gen(args):
 
 
 def _cmd_compute(args):
+    from .fast_tangle import n_tangle
+    from .io import load_state
+
     state = load_state(args.state)
     report = n_tangle(state)
     qubits = list(enumerate(zip(report.per_qubit, report.tpq_per_qubit), 1))
@@ -114,6 +104,9 @@ def _cmd_compute(args):
 
 
 def _cmd_oracle(args):
+    from .io import load_state
+    from .naive_tangle import tangle_i_naive, wong_tangle_naive
+
     state = load_state(args.state)
     if state.n % 2 == 0:
         for flag, given in (("--qubit", args.qubit is not None), ("--full-sum", args.full_sum)):
@@ -127,6 +120,11 @@ def _cmd_oracle(args):
 
 
 def _cmd_tangle3(args):
+    from .fast_tangle import tangle_i_fast
+    from .io import StateFileError, load_state
+    from .naive_tangle import tangle_i_naive
+    from .three_tangle import ckw_tangle, ckw_terms
+
     state = load_state(args.state)
     if state.n != 3:
         raise StateFileError(f"tangle3 needs a 3-qubit state, got n={state.n}")
@@ -140,6 +138,10 @@ def _cmd_tangle3(args):
 
 
 def _cmd_residual(args):
+    from .fast_tangle import compute_TPQ, tangle_i_fast
+    from .io import load_state
+    from .residual_forms import residual_parts_defining, residual_parts_reduced, residual_tau
+
     state = load_state(args.state)
     lines = [
         f"I_bar_{label} {_c(parts.I_bar)} I_star_{label} {_c(parts.I_star)}"
@@ -159,6 +161,14 @@ def _cmd_residual(args):
 
 
 def _cmd_slocc_check(args):
+    from .slocc_ops import (
+        random_local_invertible,
+        random_local_unitary,
+        verify_lu_invariance,
+        verify_slocc_equation,
+    )
+    from .stategen import random_pure
+
     _check_trials(args.trials)
     rows = []
     all_pass = True
@@ -177,6 +187,13 @@ def _cmd_slocc_check(args):
 
 
 def _cmd_perm_check(args):
+    import numpy as np
+
+    from .io import load_state
+    from .qstate import QubitPermutation
+    from .stategen import random_pure
+    from .verify import PERMUTATION_TOL, all_permutations, permutation_delta
+
     if args.trials is not None:
         _check_trials(args.trials)
     if args.state is not None and args.n is not None:
@@ -204,6 +221,9 @@ def _cmd_perm_check(args):
 
 
 def _cmd_roof(args):
+    from .convex_roof import convex_roof_tangle
+    from .io import load_density
+
     if args.restarts == 0 and args.seed is not None:
         raise ValueError("--seed applies only with --restarts above 0")
     rho = load_density(args.density)
@@ -222,18 +242,22 @@ def _cmd_roof(args):
 
 
 def _cmd_bench(args):
+    from .bench import timing_sweep
+
     try:
         n_list = [int(x) for x in args.n_list.split(",")]
     except ValueError:
         msg = f"--n-list must be comma-separated integers, got {args.n_list!r}"
         raise ValueError(msg) from None
-    sweep = bench_mod.timing_sweep(n_list, repetitions=args.repetitions)
+    sweep = timing_sweep(n_list, repetitions=args.repetitions)
     header = ["n", "method", "mult_count", "paper_count", "median_seconds"]
     rows = ([r.n, r.method, r.mult_count, r.paper_count, _g(r.median_seconds)] for r in sweep)
     return _csv(header, rows), EXIT_OK
 
 
 def _cmd_verify_all(args):
+    from .verify import verify_all
+
     results = verify_all(seed=args.seed)
     code = EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
     lines = []

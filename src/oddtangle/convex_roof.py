@@ -293,7 +293,8 @@ def convex_roof_tangle(rho: MixedState, *, restarts: int = 32, seed: int = 0) ->
     scaled = _scaled_basis(rho)
     r = scaled.shape[0]
     m = r + 2
-    rng = np.random.default_rng(seed)
+    # built on the first restart: importing numpy.random costs memory
+    rng = None
 
     def f_and_grad(x: np.ndarray):
         return _value_and_grad(x, rho.n, m, r, scaled)
@@ -308,6 +309,8 @@ def convex_roof_tangle(rho: MixedState, *, restarts: int = 32, seed: int = 0) ->
     for _ in range(restarts):
         if best_value <= ROOF_ZERO_TOL:
             break
+        if rng is None:
+            rng = np.random.default_rng(seed)
         x, start, value, status, used = _lbfgs(f_and_grad, rng.standard_normal(2 * m * r))
         evaluations += used
         log.append((start, value, status))

@@ -947,7 +947,7 @@ def test_cli_unwritable_out_is_an_input_error(tmp_path, capsys, argv, out):
 
 @pytest.mark.parametrize(
     "argv, work",
-    [(["verify-all"], "verify_all"), (["compute", "--state", "s.json"], "load_state")],
+    [(["verify-all"], "verify.verify_all"), (["compute", "--state", "s.json"], "io.load_state")],
     ids=["verify_all", "compute"],
 )
 def test_cli_out_in_a_missing_directory_is_refused_before_any_work(
@@ -956,7 +956,7 @@ def test_cli_out_in_a_missing_directory_is_refused_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError(f"{work} ran before --out was checked")
 
-    monkeypatch.setattr(oddtangle.cli, work, no_work)
+    monkeypatch.setattr(f"oddtangle.{work}", no_work)
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", "missing/x.txt"]) == EXIT_INPUT_ERROR
     assert capsys.readouterr() == ("", "error: cannot write missing/x.txt: No such file or directory\n")
@@ -1130,7 +1130,7 @@ def test_cli_out_gets_the_stdout_bytes(tmp_path, monkeypatch, capsysbinary, argv
     # bench prints median wall times; a stopped clock makes two runs agree
     monkeypatch.setattr(oddtangle.bench, "time", SimpleNamespace(perf_counter=lambda: 0.0))
     # a tolerance below every delta makes perm-check fail, so exit 1 is covered
-    monkeypatch.setattr(oddtangle.cli, "PERMUTATION_TOL", -1.0)
+    monkeypatch.setattr(oddtangle.verify, "PERMUTATION_TOL", -1.0)
     argv = [a.format(**files) for a in argv]
     code = main(argv)
     stdout = capsysbinary.readouterr().out

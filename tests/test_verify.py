@@ -113,6 +113,8 @@ def test_the_halves_draw_the_samples_of_one_process_between_them(monkeypatch, tm
     assert sorted(halves[0] + halves[1]) == sorted(whole)
     assert len(whole) == 2 + 20 + 40 + 10 + 30 + 20 + 50
     assert abs(len(halves[0]) - len(halves[1])) <= 2
+    # each check draws from its own block of seeds: no (n, seed) repeats
+    assert len(set(whole)) == len(whole)
 
 
 def test_small_stacks_give_the_same_deltas(monkeypatch):
