@@ -2,11 +2,12 @@
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 input error,
 3 internal error.  Numeric fields print with 17 significant digits.  With
-one numpy build on one machine, tangles and T/P/Q values are identical
-whatever the BLAS thread count; across machines their last digits can
-differ with the CPU's SIMD dispatch level, and ``roof`` and the SLOCC
-checks are same-machine only.  The last digits of T/P/Q, and those of
-the d2 line of tangle3, differ from release 0.1.0.
+one numpy build on one machine, tangles, T/P/Q values and the SLOCC and LU
+figures are identical whatever the BLAS thread count, since only ``roof``
+calls BLAS or LAPACK; across machines their last digits can differ with
+the CPU's SIMD dispatch level, and ``roof`` is same-machine only.  The
+last digits of T/P/Q, and those of the d2 line of tangle3, differ from
+release 0.1.0.
 
 Each ``_cmd_*`` returns ``(text, exit_code)``; ``main`` writes the text to
 ``--out`` or to stdout.  ``gen`` writes its state file itself and returns

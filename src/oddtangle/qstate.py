@@ -137,7 +137,7 @@ class LocalOperatorChain:
         self.ops = mats
 
     def dets(self) -> np.ndarray:
-        return np.array([np.linalg.det(m) for m in self.ops])
+        return np.array([a * d - b * c for (a, b), (c, d) in (m.tolist() for m in self.ops)])
 
     def abs_det_sq_product(self) -> float:
         return float(np.prod(np.abs(self.dets()) ** 2))
@@ -148,8 +148,14 @@ class LocalOperatorChain:
                 raise ValueError(f"operator {k} is singular (|det|={abs(d):.3e})")
 
     def is_unitary(self) -> bool:
-        eye = np.eye(2)
-        return all(np.max(np.abs(m.conj().T @ m - eye)) <= 1e-10 for m in self.ops)
+        """Whether every entry of each op^H op - I is at most 1e-10 in size."""
+        for (a, b), (c, d) in (m.tolist() for m in self.ops):
+            # the entries of op^H op; its lower-left entry is the conjugate of off
+            col0, col1 = abs(a) ** 2 + abs(c) ** 2, abs(b) ** 2 + abs(d) ** 2
+            off = a.conjugate() * b + c.conjugate() * d
+            if max(abs(col0 - 1.0), abs(col1 - 1.0), abs(off)) > 1e-10:
+                return False
+        return True
 
 
 def index_of_bits(bits) -> int:
@@ -181,11 +187,16 @@ def permute_qubits(state: PureState, perm: QubitPermutation) -> PureState:
 
 
 def apply_local_operators(state: PureState, chain: LocalOperatorChain) -> PureState:
-    """Apply op1 (x) ... (x) opn to the amplitudes, qubit by qubit."""
+    """Apply op1 (x) ... (x) opn to the amplitudes, qubit by qubit: on the
+    (2**(k-1), 2, 2**(n-k)) view psi of the amplitudes, op_k makes
+    psi'[:, a] = op_k[a, 0] psi[:, 0] + op_k[a, 1] psi[:, 1]."""
     if chain.n != state.n:
         raise ValueError(f"chain on {chain.n} qubits, state has {state.n}")
     n = state.n
-    psi = state.amps.reshape((2,) * n)
-    for k in range(n):
-        psi = np.moveaxis(np.tensordot(chain.ops[k], psi, axes=([1], [k])), 0, k)
+    psi = state.amps
+    for k, op in enumerate(chain.ops):
+        view = psi.reshape(1 << k, 2, -1)
+        psi = np.empty_like(view)
+        for a in (0, 1):
+            psi[:, a] = op[a, 0] * view[:, 0] + op[a, 1] * view[:, 1]
     return PureState(n, psi.reshape(-1))

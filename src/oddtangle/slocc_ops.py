@@ -1,8 +1,17 @@
 """SLOCC machinery: random local operator chains, the scaling-law check and
-local-unitary invariance."""
+local-unitary invariance.
+
+Every operator is 2x2, so its algebra is done in closed form, and the SLOCC
+and LU checks call no BLAS or LAPACK routine.  The condition-number test of
+``random_local_invertible`` rests on an identity: the singular values
+s1 >= s2 of a 2x2 matrix m satisfy s1**2 + s2**2 = ||m||_F**2 and
+s1*s2 = |det m|, so ||m||_F**2 / |det m| = c + 1/c for c = cond m = s1/s2.
+That grows with c, so cond m <= 20 exactly when ||m||_F**2 <= 20.05 |det m|.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,29 +34,40 @@ class SloccVerdict:
 
 def random_local_invertible(n: int, seed: int) -> LocalOperatorChain:
     """n seeded Gaussian 2x2 matrices, resampled until each has |det| >= 0.1
-    and condition number <= 20."""
+    and condition number <= 20 (tested as ||m||_F**2 <= 20.05 |det m|)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(seed)
     ops = []
     while len(ops) < n:
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        if abs(np.linalg.det(m)) >= 0.1 and np.linalg.cond(m) <= 20.0:
+        (a, b), (c, d) = m.tolist()
+        abs_det = abs(a * d - b * c)
+        if abs_det >= 0.1 and sum(abs(z) ** 2 for z in (a, b, c, d)) <= 20.05 * abs_det:
             ops.append(m)
     return LocalOperatorChain(ops)
 
 
 def random_local_unitary(n: int, seed: int) -> LocalOperatorChain:
-    """n Haar-ish random 2x2 unitaries (QR of a seeded Gaussian matrix)."""
+    """n Haar-ish random 2x2 unitaries: the Q of the QR decomposition of a
+    seeded Gaussian matrix m whose R has a real positive diagonal.
+
+    Q's first column is m's first column normalized, (x, y); its second is
+    the orthogonal unit vector (-conj y, conj x) turned by the phase of
+    det m, which makes R's second diagonal entry, det m / ||m[:, 0]||, real
+    and positive."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(seed)
     ops = []
     for _ in range(n):
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        q, r = np.linalg.qr(m)
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
-        ops.append(q)
+        (a, b), (c, d) = m.tolist()
+        norm = math.hypot(a.real, a.imag, c.real, c.imag)
+        x, y = a / norm, c / norm
+        det = a * d - b * c
+        phase = det / abs(det)
+        ops.append([[x, -phase * y.conjugate()], [y, phase * x.conjugate()]])
     return LocalOperatorChain(ops)
 
 

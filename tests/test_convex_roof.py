@@ -358,6 +358,76 @@ def test_roof_ghz_times_werner_matches_its_closed_form(p, seed):
     assert abs(value - 0.6 * max(0.0, (3 * p - 1) / 2) ** 2) <= 1e-9
 
 
+# Native references at odd n >= 5.  With W-bar_n the equal superposition of
+# the n weight-(n-1) strings and k = 2 sqrt(n-1)/n, the symmetric sums give
+# tau(a GHZ_n + b W_n + c W-bar_n) = |a^2 - 2(1+k)bc| |a^2 - 2(1-k)bc|.  On
+# a rank-2 line through GHZ_n this is a convex function h of the GHZ
+# population, bounded below by it, so roof = h(p) by Jensen's inequality;
+# the pair sqrt(p) GHZ_n +- sqrt(1-p) phi with equal weights reaches it.
+def _w_bar(n):
+    return PureState(n, w(n).amps[::-1])
+
+
+def _k(n):
+    return 2 * np.sqrt(n - 1) / n
+
+
+def test_native_tangle_formula_matches_n_tangle():
+    rng = np.random.default_rng(4)
+    for n in (5, 7, 9):
+        for _ in range(3):
+            a, b, c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            state = PureState(n, a * ghz(n).amps + b * w(n).amps + c * _w_bar(n).amps)
+            k = _k(n)
+            exact = abs(a * a - 2 * (1 + k) * b * c) * abs(a * a - 2 * (1 - k) * b * c)
+            assert n_tangle(state).average == pytest.approx(exact, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("p", [0.3, 0.9])
+def test_roof_ghz_w_line_is_p_squared_at_odd_n(n, p):
+    # b = 0 or c = 0 leaves tau = |a|^4, so h(p) = p^2
+    rho = MixedState.from_ensemble(n, [(p, ghz(n)), (1 - p, w(n))])
+    value = convex_roof_tangle(rho, restarts=4, seed=0).value
+    assert p**2 - 1e-9 <= value <= p**2 + 1e-6
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
+def test_roof_ghz_x_line_matches_its_closed_form(n, p):
+    # X_n = (W_n + W-bar_n)/sqrt(2): zero between (1-k)/(2-k) and (1+k)/(2+k),
+    # quadratic on either side
+    k = _k(n)
+    x = PureState(n, (w(n).amps + _w_bar(n).amps) / np.sqrt(2.0))
+    exact = max(0.0, ((2 + k) * p - (1 + k)) * ((2 - k) * p - (1 - k)))
+    rho = MixedState.from_ensemble(n, [(p, ghz(n)), (1 - p, x)])
+    value = convex_roof_tangle(rho, restarts=4, seed=0).value
+    assert exact - 1e-9 <= value <= exact + 1e-6
+
+
+def _zero_set_point(n, y, z, sign):
+    """The populations (x, y, z) of GHZ_n, W_n and W-bar_n, scaled to sum 1,
+    with x = 2(1 + sign k) sqrt(yz): the tangle of the phase-aligned state
+    sqrt(x) GHZ_n + sqrt(y) W_n + sqrt(z) W-bar_n is 0 there."""
+    x = 2 * (1 + sign * _k(n)) * np.sqrt(y * z)
+    return np.array([x, y, z]) / (x + y + z)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize(
+    "first, second, weight",
+    [((0.3, 0.2, 1), (0.1, 0.4, -1), 0.5), ((0.5, 0.1, -1), (0.2, 0.2, 1), 0.3)],
+)
+def test_roof_is_zero_on_rank_3_zero_points(n, first, second, weight):
+    # a mixture of points of the zero set has roof 0: twirling the phases of
+    # W_n and W-bar_n by e^(+-2 pi i j/3) decomposes each into zero-tangle
+    # states.  With restarts 4 these four land within 1.3e-8 of 0
+    x, y, z = weight * _zero_set_point(n, *first) + (1 - weight) * _zero_set_point(n, *second)
+    rho = MixedState.from_ensemble(n, [(x, ghz(n)), (y, w(n)), (z, _w_bar(n))])
+    assert rho.rank() == 3
+    assert -1e-9 <= convex_roof_tangle(rho, restarts=4, seed=0).value <= 1e-6
+
+
 def test_roof_counts_every_evaluation(monkeypatch):
     calls = []
     inner = oddtangle.convex_roof._value_and_grad

@@ -1148,36 +1148,61 @@ def test_cli_output_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+def _cli_env(**extra_env):
+    """os.environ without OPENBLAS_NUM_THREADS, with src on PYTHONPATH, and
+    extra_env on top."""
+    src = os.path.dirname(os.path.dirname(oddtangle.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(extra_env)
+    return env
+
+
 def test_cli_compute_n15_identical_bytes_across_runs_and_blas_threads(tmp_path):
     state_path = str(tmp_path / "r15.json")
     save_state(random_pure(15, seed=15), state_path)
-    src = os.path.dirname(os.path.dirname(oddtangle.__file__))
 
     def run(**extra_env):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env.update(extra_env)
         cmd = [sys.executable, "-m", "oddtangle.cli", "compute", "--state", state_path]
-        return subprocess.run(cmd, env=env, capture_output=True, check=True).stdout
+        return subprocess.run(cmd, env=_cli_env(**extra_env), capture_output=True,
+                              check=True).stdout
 
     first = run()
     assert first.splitlines()[0] == b"n 15" and len(first.splitlines()) == 17
     assert run() == first
     assert run(OPENBLAS_NUM_THREADS="1") == first
+    assert run(OPENBLAS_NUM_THREADS="2") == first
 
 
 def test_cli_gen_random_n17_identical_bytes_across_blas_threads(tmp_path):
-    src = os.path.dirname(os.path.dirname(oddtangle.__file__))
-
     def run(name, **extra_env):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env.update(extra_env)
         out = tmp_path / name
         cmd = [sys.executable, "-m", "oddtangle.cli", "gen", "--type", "random",
                "--n", "17", "--seed", "0", "--out", str(out)]
-        subprocess.run(cmd, env=env, capture_output=True, check=True)
+        subprocess.run(cmd, env=_cli_env(**extra_env), capture_output=True, check=True)
         return out.read_bytes()
 
     first = run("default.json")
     assert run("one_thread.json", OPENBLAS_NUM_THREADS="1") == first
+    assert run("two_threads.json", OPENBLAS_NUM_THREADS="2") == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["slocc-check", "--n", "5", "--trials", "3"],
+        ["slocc-check", "--n", "5", "--trials", "3", "--unitary"],
+        ["verify-all", "--seed", "0"],
+    ],
+    ids=["slocc-check", "slocc-check-unitary", "verify-all"],
+)
+def test_cli_slocc_and_verify_identical_bytes_across_blas_threads(argv):
+    def run(**extra_env):
+        cmd = [sys.executable, "-m", "oddtangle.cli", *argv]
+        return subprocess.run(cmd, env=_cli_env(**extra_env), capture_output=True,
+                              check=True).stdout
+
+    first = run()
+    assert first
+    assert run(OPENBLAS_NUM_THREADS="1") == first
+    assert run(OPENBLAS_NUM_THREADS="2") == first
